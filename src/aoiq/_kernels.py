@@ -1,141 +1,87 @@
-"""Inner loops of the Volterra solvers.
+"""History sums of the finite-time Volterra equations.
 
-Every kernel evaluates lower-triangular composite-trapezoid sums of the form
+Every equation the solver discretises is built from composite-trapezoid sums
 
-    out[i] = base[i] + h * sum_{j=0..i}'' k(j, i-j) * e(j, i)
+    S_i(v) = h * sum''_{j=0..i} c[j] * k[i-j] * exp(-weight * (Lam[i] - Lam[j])) * v[j]
 
-where e(j, i) = prod_{m=j+1..i} q[m] carries the exponential factor
-exp(-theta * (Lambda_i - Lambda_j)) as a running product of per-step
-factors q[m] = exp(-theta * dLambda_m), so no large exponent is ever formed.
-The double-prime marks trapezoid end weights (first and last terms halved).
+on an equally spaced grid, where Lam holds the cumulative arrival rate at
+the nodes and the double prime halves the first and last terms (S_0 = 0).
+The exponent is never positive, so the factor is formed directly.
 
-Two interchangeable implementations are provided: numba-jitted loops
-(default when numba imports) and vectorized numpy rows using reversed
-cumulative products. Select with AOIQ_BACKEND=numba|numpy; results agree to
-machine rounding.
+Rows are handled in blocks of at most _BLOCK weights, so memory stays
+bounded on long grids while each block is one vectorised numpy product.
 """
 
-import os
-import warnings
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
+_BLOCK = 1 << 15
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
-
-def _suffix_products(q, i):
-    """e[j] = prod_{m=j+1..i} q[m] for j=0..i (e[i]=1)."""
-    e = np.empty(i + 1)
-    e[i] = 1.0
-    if i:
-        e[:i] = np.cumprod(q[i:0:-1])[::-1]
-    return e
-
-
-def _idle_sweep_numpy(lam, Fk, q, theta, h, w, rhs, i0, i1):
-    for i in range(i0, i1):
-        e = _suffix_products(q, i)
-        g = lam[:i + 1] * (theta * Fk[i::-1]
-                           + (1.0 - theta) * w[:i + 1] * (Fk[i::-1] - 1.0)) * e
-        rhs[i] = h * (g.sum() - 0.5 * (g[0] + g[i])) + e[0]
-
-
-def _conv_slice_numpy(c, fx, q, h, out, i0, i1):
-    for i in range(i0, i1):
-        e = _suffix_products(q, i)
-        g = c[:i + 1] * fx[i::-1] * e
-        out[i] = h * (g.sum() - 0.5 * (g[0] + g[i]))
-
-
-def _phi_sweep_numpy(lam, mx, Fx, q, theta, h, w, rhs, i0, i1):
-    for i in range(i0, i1):
-        e = _suffix_products(q, i)
-        g = lam[:i + 1] * (theta * w[:i + 1] + (1.0 - theta) * mx[:i + 1]) \
-            * (Fx[i::-1] - 1.0) * e
-        rhs[i] = mx[i] - h * (g.sum() - 0.5 * (g[0] + g[i]))
+def _row_blocks(c, k, Lam, weight, h):
+    """Yield (i0, i1, W) with W[r, j] the weight of v[j] in S_{i0+r}, for
+    j < i1 (zero above the diagonal)."""
+    n = Lam.size
+    rows = max(1, _BLOCK // n)
+    # u[n-1-d] = k[d] for d >= 0 and 0 for d < 0: row i of the Toeplitz
+    # kernel k[i-j] is window n-1-i of u
+    u = np.concatenate([k[::-1], np.zeros(n)])
+    windows = sliding_window_view(u, n)
+    for i0 in range(0, n, rows):
+        i1 = min(n, i0 + rows)
+        idx = np.arange(i0, i1)
+        kern = windows[n - i1:n - i0][::-1, :i1]
+        if weight:
+            W = Lam[:i1] - Lam[i0:i1, None]
+            # clamped above the diagonal, where the kernel is zero anyway
+            np.minimum(W, 0.0, out=W)
+            W *= weight
+            np.exp(W, out=W)
+            W *= kern
+        else:
+            W = kern.copy()
+        W *= h * c[:i1]
+        W[:, 0] *= 0.5
+        W[idx - i0, idx] *= 0.5
+        if i0 == 0:
+            W[0] = 0.0
+        yield i0, i1, W
 
 
-# ---------------------------------------------------------------------------
-# numba implementations (same arithmetic, explicit loops)
-# ---------------------------------------------------------------------------
-
-if njit is not None:
-
-    @njit(cache=True)
-    def _idle_sweep_numba(lam, Fk, q, theta, h, w, rhs, i0, i1):
-        for i in range(i0, i1):
-            e = 1.0
-            g_i = lam[i] * (theta * Fk[0] + (1.0 - theta) * w[i] * (Fk[0] - 1.0))
-            total = 0.5 * g_i
-            for j in range(i - 1, 0, -1):
-                e *= q[j + 1]
-                total += lam[j] * (theta * Fk[i - j]
-                                   + (1.0 - theta) * w[j] * (Fk[i - j] - 1.0)) * e
-            e *= q[1]
-            g0 = lam[0] * (theta * Fk[i] + (1.0 - theta) * w[0] * (Fk[i] - 1.0)) * e
-            total += 0.5 * g0
-            rhs[i] = h * total + e
-
-    @njit(cache=True)
-    def _conv_slice_numba(c, fx, q, h, out, i0, i1):
-        for i in range(i0, i1):
-            e = 1.0
-            total = 0.5 * c[i] * fx[0]
-            for j in range(i - 1, 0, -1):
-                e *= q[j + 1]
-                total += c[j] * fx[i - j] * e
-            e *= q[1]
-            total += 0.5 * c[0] * fx[i] * e
-            out[i] = h * total
-
-    @njit(cache=True)
-    def _phi_sweep_numba(lam, mx, Fx, q, theta, h, w, rhs, i0, i1):
-        for i in range(i0, i1):
-            e = 1.0
-            g_i = lam[i] * (theta * w[i] + (1.0 - theta) * mx[i]) * (Fx[0] - 1.0)
-            total = 0.5 * g_i
-            for j in range(i - 1, 0, -1):
-                e *= q[j + 1]
-                total += lam[j] * (theta * w[j] + (1.0 - theta) * mx[j]) \
-                    * (Fx[i - j] - 1.0) * e
-            e *= q[1]
-            g0 = lam[0] * (theta * w[0] + (1.0 - theta) * mx[0]) * (Fx[i] - 1.0) * e
-            total += 0.5 * g0
-            rhs[i] = mx[i] - h * total
+def history(c, k, Lam, weight, h):
+    """S_i(1) for every node i."""
+    out = np.empty(Lam.size)
+    for i0, i1, W in _row_blocks(c, k, Lam, weight, h):
+        out[i0:i1] = W.sum(axis=1)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
+def march(base, c, k, Lam, weight, h, alpha, beta):
+    """Solve w_i = base_i + S_i(alpha * w + beta) by the implicit trapezoid
+    march.
 
-def _pick_backend():
-    requested = os.environ.get("AOIQ_BACKEND", "").strip().lower()
-    if requested not in ("", "numba", "numpy"):
-        warnings.warn(f"unknown AOIQ_BACKEND={requested!r}; falling back to numpy")
-        requested = "numpy"
-    if requested == "numpy":
-        return "numpy"
-    if njit is None:
-        if requested == "numba":
-            warnings.warn("AOIQ_BACKEND=numba but numba is not importable; using numpy")
-        return "numpy"
-    return "numba"
+    S_i depends on w_i only through its diagonal term, so each node is
+    solved in closed form from the nodes before it,
+    w_i = (base_i + known terms) / (1 - alpha * h/2 * c[i] * k[0]).
+    The caller keeps that denominator away from 0.
 
-
-BACKEND = _pick_backend()
-
-if BACKEND == "numba":
-    idle_sweep = _idle_sweep_numba
-    conv_slice = _conv_slice_numba
-    phi_sweep = _phi_sweep_numba
-else:
-    idle_sweep = _idle_sweep_numpy
-    conv_slice = _conv_slice_numpy
-    phi_sweep = _phi_sweep_numpy
+    Returns (w, residual): the sup-norm of base + S(alpha * w + beta) - w,
+    the discrete equation evaluated again at the solution.
+    """
+    n = Lam.size
+    w = np.empty(n)
+    a = np.empty(n)  # alpha * w + beta on the nodes solved so far
+    residual = 0.0
+    for i0, i1, W in _row_blocks(c, k, Lam, weight, h):
+        blk = slice(i0, i1)
+        own = W[:, i0:i1]  # weights of the block's own nodes
+        rhs = base[blk] + W[:, :i0] @ a[:i0] + own @ beta[blk]
+        A = alpha * own
+        wb = w[blk]
+        for r in range(i1 - i0):
+            wb[r] = (rhs[r] + A[r, :r] @ wb[:r]) / (1.0 - A[r, r])
+        a[blk] = alpha * wb + beta[blk]
+        # np.maximum keeps a NaN residual, so a blown-up solve cannot pass
+        residual = np.maximum(residual,
+                              np.max(np.abs(base[blk] + W @ a[:i1] - w[blk])))
+    return w, float(residual)

@@ -93,8 +93,7 @@ def _floats(value, where):
 def _solver_settings(args, sec, horizon):
     grid_n = args.grid_n if args.grid_n is not None else sec.get("grid_n")
     etol = args.etol if args.etol is not None else sec.get("etol", 1e-8)
-    return SolverSettings(horizon=horizon, grid_n=grid_n, etol=float(etol),
-                          ite_max=int(sec.get("ite_max", 200)))
+    return SolverSettings(horizon=horizon, grid_n=grid_n, etol=float(etol))
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +455,7 @@ def main(argv=None):
         _error_record(exc, violations=exc.violations)
         return EXIT_INFEASIBLE
     except ConvergenceError as exc:
-        _error_record(exc, residual=exc.residual, iterations=exc.iterations)
+        _error_record(exc, residual=exc.residual)
         return EXIT_NUMERIC
     except InversionError as exc:
         _error_record(exc, diagnostics=exc.diagnostics)

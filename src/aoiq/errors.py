@@ -15,12 +15,12 @@ class UnsupportedServiceError(ConfigError):
 
 
 class ConvergenceError(RuntimeError):
-    """Picard iteration failed to reach the residual tolerance."""
+    """A finite-time solve left a residual of its discrete equations above
+    the tolerance etol."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-        self.iterations = iterations
 
 
 class InversionError(RuntimeError):

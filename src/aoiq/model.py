@@ -39,12 +39,13 @@ class RateProfile:
         raise NotImplementedError
 
     def integral(self, t0, t1):
-        """Integral of lambda over [t0, t1]. Requires t0 <= t1."""
+        """Integral of lambda over [t0, t1]. Requires t0 <= t1; t1 may be
+        an array of upper ends, giving an array of integrals."""
         raise NotImplementedError
 
     def max_rate(self, t0, t1):
         """A finite upper bound for lambda on [t0, t1] (used by thinning
-        and by the solver's windowed fallback)."""
+        and by the solver's step guard)."""
         raise NotImplementedError
 
     def breakpoints_in(self, t0, t1):
@@ -53,7 +54,7 @@ class RateProfile:
         return ()
 
     def _check_interval(self, t0, t1):
-        if t0 > t1:
+        if np.any(t0 > np.asarray(t1)):
             raise ValueError(f"rate_integral needs t0 <= t1, got [{t0}, {t1}]")
 
 
@@ -105,7 +106,7 @@ class Sinusoid(RateProfile):
         self._check_interval(t0, t1)
         # closed antiderivative: a*t - (b/omega) cos(omega t)
         return self.a * (t1 - t0) + (self.b / self.omega) * (
-            math.cos(self.omega * t0) - math.cos(self.omega * t1))
+            math.cos(self.omega * t0) - np.cos(self.omega * np.asarray(t1)))
 
     def max_rate(self, t0, t1):
         return self.a + abs(self.b)
@@ -153,8 +154,10 @@ class PiecewiseConstant(RateProfile):
         lo = np.concatenate([bp[:-1], [bp[-1]]])
         hi = np.concatenate([bp[1:], [np.inf]])
         r = np.concatenate([rt, [rt[-1]]])
+        t1 = np.asarray(t1, dtype=float)[..., None]
         overlap = np.clip(np.minimum(hi, t1) - np.maximum(lo, t0), 0.0, None)
-        return float(np.sum(r * overlap))
+        out = np.sum(r * overlap, axis=-1)
+        return out if out.ndim else float(out)
 
     def max_rate(self, t0, t1):
         bp = self.breakpoints
@@ -209,19 +212,20 @@ class Tabulated(RateProfile):
 
     def integral(self, t0, t1):
         self._check_interval(t0, t1)
-        self._check_domain([t0, t1])
+        self._check_domain(np.append(t0, t1))
         g = np.asarray(self.grid)
+        v = np.asarray(self.values)
         cum = np.asarray(self._cum)
 
         def cum_at(t):
             i = np.clip(np.searchsorted(g, t, side="right") - 1, 0, g.size - 2)
             # integrate the linear piece from g[i] to t exactly
-            v0 = self.values[i]
-            slope = (self.values[i + 1] - v0) / (g[i + 1] - g[i])
+            slope = (v[i + 1] - v[i]) / (g[i + 1] - g[i])
             dt = t - g[i]
-            return cum[i] + v0 * dt + 0.5 * slope * dt * dt
+            return cum[i] + v[i] * dt + 0.5 * slope * dt * dt
 
-        return float(cum_at(t1) - cum_at(t0))
+        out = cum_at(np.asarray(t1, dtype=float)) - cum_at(t0)
+        return out if out.ndim else float(out)
 
     def max_rate(self, t0, t1):
         self._check_domain([t0, t1])

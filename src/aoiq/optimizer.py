@@ -250,9 +250,7 @@ def evaluate_plan(plan, schedule, service, theta, settings):
     config = SystemConfig(plan.profile(), service, theta)
     horizon = schedule.times[-1]
     solver = SolverSettings(horizon=horizon, grid_n=settings.solver.grid_n,
-                            etol=settings.solver.etol,
-                            ite_max=settings.solver.ite_max,
-                            quadrature=settings.solver.quadrature)
+                            etol=settings.solver.etol)
     idle = solve_idle_prob(config, solver)
     rows = []
     for eta, k in _eta_nodes(schedule, settings.eta_spacing):

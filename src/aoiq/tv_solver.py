@@ -1,20 +1,21 @@
 """Finite-time AoI distribution for the time-varying system.
 
-Solves the Volterra equations of the second kind behind Phi(t, x):
+Solves the Volterra equations of the second kind behind Phi(t, x) on
+equally spaced grids with the composite trapezoid rule:
 
-* the idle-probability curve M(t, inf) by Picard sweeps over an equally
-  spaced grid (composite trapezoid, successive approximation),
-* the completion-flux kernel G_z(t, y, 0) and the joint block M(t, x) by
-  trapezoid passes along the diagonal r = (t - x) + tau, and
-* the fixed-u equation for Phi-hat(u, x) (u = t - x held fixed), again by
-  Picard sweeps, returning the terminal node.
+* the idle-probability curve M(t, inf),
+* the completion-flux kernel G_z(t, y, 0) and the joint block M(t, x),
+  explicit sums along the diagonal r = (t - x) + tau, and
+* the fixed-u equation for Phi-hat(u, x) (u = t - x held fixed), returning
+  the terminal node.
 
 Plus the negligible-processing closed forms where service time is ~0.
 
-Picard sweeps amplify before they contract when lambda*(1-theta)*E[S] > 1;
-in that case the solver falls back to marching over windows narrow enough
-to be locally contractive, then certifies the fixed point with a full-grid
-residual check, so the returned curve meets the residual contract either way.
+The idle-curve and Phi-hat equations are linear in the unknown at each
+node, so one implicit-trapezoid march solves every node in closed form
+(Linz, Analytical and Numerical Methods for Volterra Equations, SIAM 1985,
+ch. 7). The discrete equation is then evaluated again at the solution and
+a residual above etol raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -35,24 +36,21 @@ __all__ = [
     "aoi_cdf_negligible", "mean_aoi_negligible",
 ]
 
-_DIVERGENCE_BLOWUP = 1e8
-
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid and iteration control for the Volterra solvers.
+    """Grid and accuracy control for the Volterra solvers.
 
     horizon: right end T of the idle-curve grid; None lets aoi_cdf_tv use
         its evaluation time t.
     grid_n: number of steps on [0, T]; None derives n from the step rule
         h <= min(0.01, mean_service / 20).
+    etol: bound on the sup-norm residual of the discrete equations.
     """
 
     horizon: float | None = None
     grid_n: int | None = None
     etol: float = 1e-8
-    ite_max: int = 200
-    quadrature: str = "trapezoid"
 
     def __post_init__(self):
         if self.horizon is not None and self.horizon <= 0:
@@ -61,18 +59,19 @@ class SolverSettings:
             raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")
         if self.etol <= 0:
             raise ConfigError(f"etol must be > 0, got {self.etol}")
-        if self.ite_max < 1:
-            raise ConfigError(f"ite_max must be >= 1, got {self.ite_max}")
-        if self.quadrature != "trapezoid":
-            raise ConfigError(f"unsupported quadrature {self.quadrature!r}")
 
 
 class IdleProbabilityCurve:
-    """M(t, inf) = B(t, 0) on [0, T]: probability the system is empty."""
+    """M(t, inf) = B(t, 0) on [0, T]: probability the system is empty.
 
-    def __init__(self, grid, iterations, residual):
+    residual is the sup-norm residual of the discrete equations; iterations
+    counts the passes of the solve, always one march.
+    """
+
+    iterations = 1
+
+    def __init__(self, grid, residual):
         self.grid = grid
-        self.iterations = iterations
         self.residual = residual
 
     def __call__(self, t):
@@ -94,21 +93,6 @@ def _grid_count(settings, service, T):
     return max(2, math.ceil(T / step - 1e-12))
 
 
-def _step_integrals(profile, ts):
-    """Exact per-step rate integrals (closed antiderivatives, no nested
-    quadrature in the exponent terms)."""
-    return np.array([profile.integral(ts[i], ts[i + 1]) for i in range(ts.size - 1)])
-
-
-def _exp_factors(dLam, weight):
-    """q[0]=1, q[k] = exp(-weight * dLambda_k); suffix products of q carry the
-    exponential kernel between any two nodes without forming large exponents."""
-    q = np.empty(dLam.size + 1)
-    q[0] = 1.0
-    np.exp(-weight * dLam, out=q[1:])
-    return q
-
-
 def _require_density(service, where):
     if not service.has_density:
         raise UnsupportedServiceError(
@@ -120,76 +104,11 @@ def _require_density(service, where):
             "shape < 1 is unbounded at 0")
 
 
-def _window_nodes(lam_max, weight, h, n):
-    """Window width keeping the local Picard contraction <= 1/2."""
-    if lam_max * weight <= 0:
-        return n
-    width = 0.5 / (lam_max * weight)
-    return max(4, int(width / h))
-
-
-def _picard(sweep, w0, base0, n, h, etol, ite_max, window_nodes, label):
-    """Successive approximation with a causal windowed fallback.
-
-    sweep(w, rhs, i0, i1) writes the fixed-point map of w into rhs[i0:i1].
-    Returns (w, sweeps, residual) with sup-norm residual <= etol.
-    """
-    w = w0.copy()
-    w[0] = base0
-    rhs = np.empty_like(w)
-    rhs[0] = base0
-    sweeps = 0
-    errs = []
-    err = math.inf
-    for _ in range(ite_max):
-        sweep(w, rhs, 1, n + 1)
-        sweeps += 1
-        err = float(np.max(np.abs(rhs - w)))
-        w[:] = rhs
-        if err <= etol:
-            return w, sweeps, err
-        errs.append(err)
-        if not math.isfinite(err) or err > _DIVERGENCE_BLOWUP:
-            break
-        if len(errs) >= 4 and errs[-1] > errs[-2] > errs[-3] > errs[-4]:
-            break
-
-    # Marching fallback: windows are narrow enough to contract locally, and
-    # Volterra causality keeps converged prefixes converged.
-    if window_nodes >= n and math.isfinite(err):
+def _certify(residual, etol, label):
+    if not residual <= etol:
         raise ConvergenceError(
-            f"{label}: no convergence within {ite_max} sweeps (residual {err:.3e})",
-            residual=err, iterations=sweeps)
-    w = w0.copy()
-    rhs[:] = w
-    rhs[0] = base0
-    w[0] = base0
-    for attempt in range(3):
-        start = 1
-        converged = True
-        while start <= n:
-            stop = min(n + 1, start + window_nodes)
-            for _ in range(ite_max):
-                sweep(w, rhs, start, stop)
-                sweeps += 1
-                werr = float(np.max(np.abs(rhs[start:stop] - w[start:stop])))
-                w[start:stop] = rhs[start:stop]
-                if werr <= 0.5 * etol:
-                    break
-            else:
-                raise ConvergenceError(
-                    f"{label}: window [{start}, {stop}) stuck at residual {werr:.3e}",
-                    residual=werr, iterations=sweeps)
-            start = stop
-        # full-grid residual certificate
-        sweep(w, rhs, 1, n + 1)
-        sweeps += 1
-        err = float(np.max(np.abs(rhs[1:] - w[1:])))
-        if err <= etol:
-            return w, sweeps, err
-    raise ConvergenceError(
-        f"{label}: windowed march left residual {err:.3e} > etol {etol:.1e}",
-        residual=err, iterations=sweeps)
+            f"{label}: residual {residual:.3e} of the discrete equations "
+            f"exceeds etol {etol:.1e}", residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +116,7 @@ def _picard(sweep, w0, base0, n, h, etol, ite_max, window_nodes, label):
 # ---------------------------------------------------------------------------
 
 def solve_idle_prob(config, settings):
-    """Solve the M(t, inf) fixed point on [0, T] to sup-norm residual <= etol.
+    """Solve the M(t, inf) equation on [0, T] to sup-norm residual <= etol.
 
     The returned curve includes the never-updated term exp(-int_0^t lambda*theta)
     and interpolates linearly between nodes; M(0, inf) = 1 (empty start).
@@ -209,20 +128,19 @@ def solve_idle_prob(config, settings):
     h = T / n
     ts = np.linspace(0.0, T, n + 1)
     lam = np.asarray(rate_at(config.rate, ts), dtype=float)
-    dLam = _step_integrals(config.rate, ts)
+    Lam = np.asarray(config.rate.integral(0.0, ts), dtype=float)
     theta = config.theta
-    q = _exp_factors(dLam, theta)
     Fk = np.asarray(config.service.cdf(ts), dtype=float)
 
-    def sweep(w, rhs, i0, i1):
-        _kernels.idle_sweep(lam, Fk, q, theta, h, w, rhs, i0, i1)
-
-    window = _window_nodes(config.rate.max_rate(0.0, T), 1.0 - theta, h, n)
-    w0 = np.ones(n + 1)
-    w, sweeps, resid = _picard(sweep, w0, 1.0, n, h, settings.etol,
-                               settings.ite_max, window, "idle curve")
+    # w_i = e^{-theta Lam_i} + theta S_i[lam F] - (1 - theta) S_i[lam (1 - F) w]
+    base = np.exp(-theta * Lam)
+    if theta:
+        base += theta * _kernels.history(lam, Fk, Lam, theta, h)
+    w, resid = _kernels.march(base, lam, 1.0 - Fk, Lam, theta, h,
+                              alpha=-(1.0 - theta), beta=np.zeros(n + 1))
+    _certify(resid, settings.etol, "idle curve")
     grid = GridFunction(0.0, h, np.clip(w, 0.0, 1.0))
-    return IdleProbabilityCurve(grid, sweeps, resid)
+    return IdleProbabilityCurve(grid, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +153,11 @@ def _diagonal_arrays(config, idle, u, x, m):
     h = x / m
     r = u + tau
     lam = np.asarray(rate_at(config.rate, r), dtype=float)
-    dLam = _step_integrals(config.rate, r)
-    q_theta = _exp_factors(dLam, config.theta)
-    q_full = _exp_factors(dLam, 1.0)
+    Lam = np.asarray(config.rate.integral(u, r), dtype=float)
     fx = np.asarray(config.service.pdf(tau), dtype=float)
     Fx = np.asarray(config.service.cdf(tau), dtype=float)
     c = lam * (config.theta + (1.0 - config.theta) * np.asarray(idle(r), dtype=float))
-    return tau, h, lam, q_theta, q_full, fx, Fx, c
+    return h, lam, Lam, fx, Fx, c
 
 
 def kernel_gz(config, idle, t, y, grid_n=None):
@@ -257,10 +173,15 @@ def kernel_gz(config, idle, t, y, grid_n=None):
     if y == 0:
         return 0.0
     m = grid_n or max(2, math.ceil(y / _default_step(config.service) - 1e-12))
-    _, h, _, q_theta, _, fx, _, c = _diagonal_arrays(config, idle, t - y, y, m)
-    out = np.zeros(m + 1)
-    _kernels.conv_slice(c, fx, q_theta, h, out, 1, m + 1)
-    return max(float(out[m]), 0.0)
+    h, _, Lam, fx, _, c = _diagonal_arrays(config, idle, t - y, y, m)
+    gz = _kernels.history(c, fx, Lam, config.theta, h)
+    return max(float(gz[m]), 0.0)
+
+
+def _joint_block(config, h, Lam, fx, c):
+    """G_z and M(., x) at the diagonal nodes."""
+    gz = _kernels.history(c, fx, Lam, config.theta, h)
+    return _kernels.history(gz, np.ones(Lam.size), Lam, 1.0, h)
 
 
 def m_tx(config, idle, t, x, grid_n=None):
@@ -277,12 +198,8 @@ def m_tx(config, idle, t, x, grid_n=None):
         return 0.0
     _require_density(config.service, "m_tx")
     m = grid_n or max(2, math.ceil(x / _default_step(config.service) - 1e-12))
-    _, h, _, q_theta, q_full, fx, _, c = _diagonal_arrays(config, idle, t - x, x, m)
-    gz = np.zeros(m + 1)
-    _kernels.conv_slice(c, fx, q_theta, h, gz, 1, m + 1)
-    ones = np.ones(m + 1)
-    mx = np.zeros(m + 1)
-    _kernels.conv_slice(gz, ones, q_full, h, mx, 1, m + 1)
+    h, _, Lam, fx, _, c = _diagonal_arrays(config, idle, t - x, x, m)
+    mx = _joint_block(config, h, Lam, fx, c)
     return float(min(max(mx[m], 0.0), 1.0))
 
 
@@ -299,6 +216,9 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
 
     A precomputed IdleProbabilityCurve covering [0, t] can be shared across
     (t, x) queries via `idle`.
+
+    Raises ConfigError when the grid is too coarse for the implicit step:
+    h * lambda_max * theta * (1 - F(0)) must stay below 1.
     """
     if t < 0 or x < 0:
         raise ValueError(f"aoi_cdf_tv needs t, x >= 0, got t={t}, x={x}")
@@ -315,32 +235,32 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     if idle is None:
         horizon = settings.horizon if settings.horizon is not None else t
         idle_settings = SolverSettings(horizon=horizon, grid_n=settings.grid_n,
-                                       etol=settings.etol, ite_max=settings.ite_max)
+                                       etol=settings.etol)
         idle = solve_idle_prob(config, idle_settings)
     elif idle.horizon < t - 1e-9 * max(1.0, t):
         raise ConfigError(
             f"idle curve horizon {idle.horizon} does not cover t={t}")
 
     u = t - x
-    h_target = idle.grid.h
-    m = max(2, math.ceil(x / h_target - 1e-12))
-    _, h, lam, q_theta, q_full, fx, Fx, c = _diagonal_arrays(config, idle, u, x, m)
-
-    gz = np.zeros(m + 1)
-    _kernels.conv_slice(c, fx, q_theta, h, gz, 1, m + 1)
-    ones = np.ones(m + 1)
-    mx = np.zeros(m + 1)
-    _kernels.conv_slice(gz, ones, q_full, h, mx, 1, m + 1)
-
     theta = config.theta
+    m = max(2, math.ceil(x / idle.grid.h - 1e-12))
+    h, lam, Lam, fx, Fx, c = _diagonal_arrays(config, idle, u, x, m)
 
-    def sweep(w, rhs, i0, i1):
-        _kernels.phi_sweep(lam, mx, Fx, q_theta, theta, h, w, rhs, i0, i1)
+    # the march divides by 1 - h/2 lambda_i theta (1 - F(0)); keeping that
+    # above 1/2 bounds the error amplification of each step by 2
+    stiffness = config.rate.max_rate(u, t) * theta * (1.0 - Fx[0])
+    if h * stiffness >= 1.0:
+        h_max = 1.0 / stiffness
+        raise ConfigError(
+            f"Phi(t={t}, x={x}): step h={h:.4g} is too coarse for the implicit "
+            f"trapezoid step, which needs h < {h_max:.4g}; use grid_n >= "
+            f"{math.floor(idle.horizon / h_max) + 1} on horizon {idle.horizon:g}")
 
-    window = _window_nodes(config.rate.max_rate(u, t), theta, h, m)
-    w0 = np.ones(m + 1)
-    w, _, _ = _picard(sweep, w0, float(mx[0]), m, h, settings.etol,
-                      settings.ite_max, window, f"Phi(t={t}, x={x})")
+    # Phi-hat_i = M_i + S_i[lam (1 - F) (theta Phi-hat + (1 - theta) M)]
+    mx = _joint_block(config, h, Lam, fx, c)
+    w, resid = _kernels.march(mx, lam, 1.0 - Fx, Lam, theta, h,
+                              alpha=theta, beta=(1.0 - theta) * mx)
+    _certify(resid, settings.etol, f"Phi(t={t}, x={x})")
     return float(min(max(w[m], 0.0), 1.0))
 
 

@@ -162,10 +162,10 @@ def test_unknown_service_kind(tmp_path, capsys):
 
 
 def test_convergence_budget_maps_to_numeric_exit(tmp_path, capsys):
-    # utilization > 1 needs the windowed fallback; two sweeps cannot finish
+    # etol below the rounding floor: the residual certificate must fail
     doc = {"rate": {"kind": "constant", "a": 2.0},
            "service": {"kind": "exponential", "mu": 1.0}, "theta": 0.0,
-           "solve_tv": {"t": 20.0, "xs": [1.0], "ite_max": 2}}
+           "solve_tv": {"t": 20.0, "xs": [1.0], "etol": 1e-20}}
     cfg = write_cfg(tmp_path, doc)
     rc, _, err = run(capsys, ["solve-tv", "--config", cfg])
     assert rc == 3

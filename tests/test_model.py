@@ -99,6 +99,16 @@ def test_tabulated_interpolates_and_integrates():
         rate_at(tab, 3.0)
 
 
+def test_rate_integral_accepts_array_of_upper_ends():
+    tab = Tabulated((0.0, 2.0, 4.0, 11.0), (1.0, 3.0, 0.0, 2.0))
+    ts = np.linspace(0.5, 11.0, 22)
+    for prof in (Constant(1.1), Sinusoid(2.0, 1.5, 0.7), SQUARE, tab):
+        got = prof.integral(0.5, ts)
+        assert np.array_equal(got, [prof.integral(0.5, t) for t in ts])
+    with pytest.raises(ValueError):
+        Constant(1.0).integral(2.0, np.array([3.0, 1.0]))
+
+
 def test_max_rate_bounds():
     assert Sinusoid(1.7, 1.0, 1.8).max_rate(0.0, 10.0) == pytest.approx(2.7)
     assert SQUARE.max_rate(3.0, 5.9) == pytest.approx(0.5)

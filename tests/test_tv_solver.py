@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from aoiq import _kernels
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Exponential,
                   Deterministic, Gamma, Erlang, SystemConfig,
                   SolverSettings, solve_idle_prob, kernel_gz, m_tx,
@@ -29,10 +30,6 @@ def test_settings_validation():
         SolverSettings(grid_n=1)
     with pytest.raises(ConfigError):
         SolverSettings(etol=0.0)
-    with pytest.raises(ConfigError):
-        SolverSettings(ite_max=0)
-    with pytest.raises(ConfigError):
-        SolverSettings(quadrature="simpson")
 
 
 def test_idle_requires_horizon():
@@ -63,9 +60,14 @@ def test_idle_starts_at_one_and_stays_in_unit_interval():
 
 
 def test_idle_full_preemption_solves_in_one_sweep():
-    # theta = 1 removes the implicit term: the first sweep is already exact
-    idle = idle_for(SystemConfig(Constant(2.0), Exponential(1.0), 1.0), 5.0)
-    assert idle.residual == 0.0
+    # theta = 1 removes the implicit term; every arrival keeps the server
+    # busy, so P0(t) = mu/(lam+mu) + lam/(lam+mu) exp(-(lam+mu) t)
+    lam, mu = 2.0, 1.0
+    idle = idle_for(SystemConfig(Constant(lam), Exponential(mu), 1.0), 5.0)
+    ts = np.linspace(0.0, 5.0, 51)
+    want = mu / (lam + mu) + lam / (lam + mu) * np.exp(-(lam + mu) * ts)
+    assert np.max(np.abs(idle(ts) - want)) <= 1e-4
+    assert idle.residual <= 1e-14
 
 
 def test_idle_matches_stationary_level():
@@ -76,9 +78,9 @@ def test_idle_matches_stationary_level():
     assert idle(50.0) == pytest.approx(m_infinity(StationaryModel(2.0, Erlang(5, 1 / 6), 0.5)), abs=1e-5)
 
 
-def test_idle_windowed_fallback_when_sweeps_diverge():
-    # lambda (1 - theta) E[S] = 2: global Picard sweeps amplify, the
-    # windowed march has to take over and still certify the residual.
+def test_idle_march_certified_above_unit_load():
+    # lambda (1 - theta) E[S] = 2: the regime where fixed-point sweeps
+    # amplify; the march still meets the residual contract.
     cfg = SystemConfig(Constant(2.0), Exponential(1.0), 0.0)
     idle = idle_for(cfg, 30.0)
     assert idle.residual <= 1e-8
@@ -86,10 +88,11 @@ def test_idle_windowed_fallback_when_sweeps_diverge():
 
 
 def test_idle_iteration_budget_enforced():
+    # etol below the rounding floor of the discrete equations cannot be met
     cfg = SystemConfig(Constant(2.0), Exponential(1.0), 0.0)
     with pytest.raises(ConvergenceError) as exc:
-        idle_for(cfg, 30.0, ite_max=2)
-    assert exc.value.residual > 1e-8
+        idle_for(cfg, 30.0, etol=1e-20)
+    assert exc.value.residual > 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +181,41 @@ def test_cdf_shared_idle_matches_fresh_solve():
     a = aoi_cdf_tv(cfg, 9.0, 2.5, idle=idle)
     b = aoi_cdf_tv(cfg, 9.0, 2.5)
     assert a == pytest.approx(b, abs=1e-9)
+
+
+@pytest.mark.parametrize("grid_n", [4, 8, 16])
+def test_cdf_rejects_grid_too_coarse_for_implicit_step(grid_n):
+    # h * lambda_max * theta >= 1: the implicit step divides by a
+    # denominator at or below zero and would return a wrong value
+    cfg = SystemConfig(Sinusoid(1.7, 1.0, 1.8), Erlang(5, 1 / 6), 0.9)
+    with pytest.raises(ConfigError, match="grid_n >= "):
+        aoi_cdf_tv(cfg, 20.0, 10.0, SolverSettings(grid_n=grid_n))
+
+
+def _per_node_march(base, c, k, Lam, weight, h, alpha, beta):
+    """Reference: w_i = base_i + S_i(alpha w + beta), one node at a time."""
+    w = np.empty(base.size)
+    w[0] = base[0]
+    for i in range(1, base.size):
+        g = h * c[:i + 1] * k[i::-1] * np.exp(-weight * (Lam[i] - Lam[:i + 1]))
+        g[[0, i]] *= 0.5
+        known = base[i] + g[:i] @ (alpha * w[:i] + beta[:i]) + g[i] * beta[i]
+        w[i] = known / (1.0 - alpha * g[i])
+    return w
+
+
+@pytest.mark.parametrize("alpha", [-0.7, 0.4])
+def test_block_march_matches_per_node_march(monkeypatch, alpha):
+    monkeypatch.setattr(_kernels, "_BLOCK", 200)  # 3 rows per block
+    rng = np.random.default_rng(3)
+    n, h = 61, 0.05
+    base, c, beta = rng.uniform(0.0, 1.0, (3, n))
+    k = np.exp(-np.arange(n) * h)
+    Lam = np.cumsum(rng.uniform(0.0, 2.0 * h, n))
+    w, resid = _kernels.march(base, c, k, Lam, 0.6, h, alpha, beta)
+    want = _per_node_march(base, c, k, Lam, 0.6, h, alpha, beta)
+    assert np.max(np.abs(w - want)) <= 1e-13
+    assert resid <= 1e-14
 
 
 # ---------------------------------------------------------------------------
