@@ -9,10 +9,8 @@ from .errors import (ConfigError, ConvergenceError, InversionError,
                      UnsupportedServiceError)
 from .model import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                     Exponential, Deterministic, Uniform, Gamma, Erlang,
-                    SystemConfig, GridFunction, rate_at, rate_integral,
-                    service_cdf, service_pdf, service_lst, sample_service,
-                    is_nbu, rate_from_dict, service_from_dict,
-                    config_from_dict)
+                    SystemConfig, GridFunction, rate_at, is_nbu,
+                    rate_from_dict, service_from_dict, config_from_dict)
 from .tv_solver import (SolverSettings, IdleProbabilityCurve, solve_idle_prob,
                         kernel_gz, m_tx, aoi_cdf_tv, aoi_cdf_negligible,
                         mean_aoi_negligible)
@@ -34,8 +32,7 @@ __all__ = [
     "UnsupportedServiceError",
     "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
     "Exponential", "Deterministic", "Uniform", "Gamma", "Erlang",
-    "SystemConfig", "GridFunction", "rate_at", "rate_integral",
-    "service_cdf", "service_pdf", "service_lst", "sample_service",
+    "SystemConfig", "GridFunction", "rate_at",
     "is_nbu", "rate_from_dict", "service_from_dict", "config_from_dict",
     "SolverSettings", "IdleProbabilityCurve", "solve_idle_prob",
     "kernel_gz", "m_tx", "aoi_cdf_tv", "aoi_cdf_negligible",

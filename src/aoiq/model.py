@@ -19,8 +19,7 @@ __all__ = [
     "ServiceDistribution", "Exponential", "Deterministic", "Uniform",
     "Gamma", "Erlang",
     "SystemConfig", "GridFunction",
-    "rate_at", "rate_integral",
-    "service_cdf", "service_pdf", "service_lst", "sample_service", "is_nbu",
+    "rate_at", "is_nbu",
     "config_from_dict",
 ]
 
@@ -39,8 +38,8 @@ class RateProfile:
         raise NotImplementedError
 
     def integral(self, t0, t1):
-        """Integral of lambda over [t0, t1]. Requires t0 <= t1; t1 may be
-        an array of upper ends, giving an array of integrals."""
+        """Integral of lambda over [t0, t1]. Requires t0 <= t1; either end
+        may be an array, and the ends broadcast to an array of integrals."""
         raise NotImplementedError
 
     def max_rate(self, t0, t1):
@@ -55,7 +54,7 @@ class RateProfile:
 
     def _check_interval(self, t0, t1):
         if np.any(t0 > np.asarray(t1)):
-            raise ValueError(f"rate_integral needs t0 <= t1, got [{t0}, {t1}]")
+            raise ValueError(f"rate integral needs t0 <= t1, got [{t0}, {t1}]")
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,7 @@ class Sinusoid(RateProfile):
         self._check_interval(t0, t1)
         # closed antiderivative: a*t - (b/omega) cos(omega t)
         return self.a * (t1 - t0) + (self.b / self.omega) * (
-            math.cos(self.omega * t0) - np.cos(self.omega * np.asarray(t1)))
+            np.cos(self.omega * np.asarray(t0)) - np.cos(self.omega * np.asarray(t1)))
 
     def max_rate(self, t0, t1):
         return self.a + abs(self.b)
@@ -154,6 +153,7 @@ class PiecewiseConstant(RateProfile):
         lo = np.concatenate([bp[:-1], [bp[-1]]])
         hi = np.concatenate([bp[1:], [np.inf]])
         r = np.concatenate([rt, [rt[-1]]])
+        t0 = np.asarray(t0, dtype=float)[..., None]
         t1 = np.asarray(t1, dtype=float)[..., None]
         overlap = np.clip(np.minimum(hi, t1) - np.maximum(lo, t0), 0.0, None)
         out = np.sum(r * overlap, axis=-1)
@@ -224,7 +224,7 @@ class Tabulated(RateProfile):
             dt = t - g[i]
             return cum[i] + v[i] * dt + 0.5 * slope * dt * dt
 
-        out = cum_at(np.asarray(t1, dtype=float)) - cum_at(t0)
+        out = cum_at(np.asarray(t1, dtype=float)) - cum_at(np.asarray(t0, dtype=float))
         return out if out.ndim else float(out)
 
     def max_rate(self, t0, t1):
@@ -507,7 +507,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Operation-style wrappers
+# Checked evaluation and predicates
 # ---------------------------------------------------------------------------
 
 def rate_at(profile, t):
@@ -516,27 +516,6 @@ def rate_at(profile, t):
     if np.any(np.asarray(v) < 0):
         raise ConfigError(f"profile produced a negative rate at t={t}")
     return v
-
-
-def rate_integral(profile, t0, t1):
-    """Integral of lambda over [t0, t1] (closed form where one exists)."""
-    return profile.integral(t0, t1)
-
-
-def service_cdf(dist, z):
-    return dist.cdf(z)
-
-
-def service_pdf(dist, z):
-    return dist.pdf(z)
-
-
-def service_lst(dist, s):
-    return dist.lst(s)
-
-
-def sample_service(dist, rng, size=None):
-    return dist.sample(rng, size)
 
 
 def is_nbu(dist, grid_points=100, tol=1e-9):

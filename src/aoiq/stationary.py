@@ -8,6 +8,12 @@ Two routes, deliberately independent of the time-varying solver:
 * theta = 0: the explicit convolution representation
   Phi(x) = M(x) + lambda * int_0^x M(s) (1 - F(x-s)) ds,
   which needs only the CDF and therefore covers deterministic service too.
+  M(s) comes from one recursion over sorted knots (0, the service
+  breakpoints and every point asked for),
+  M(b) = M(a) e^{-lambda (b-a)} + M(inf) lambda int_a^b F(v) e^{-lambda (b-v)} dv,
+  with all piece integrals from one call of the Gauss panel rule; the CDF,
+  the PDF and M(x) itself share it, so each convolution evaluates M at all
+  of its quadrature nodes in one pass.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import composite_gauss, geometric_ladder
+from ._quad import composite_gauss, gauss_panels, geometric_ladder
 from .errors import ConfigError, InversionError, UnsupportedServiceError
 
 __all__ = [
@@ -62,15 +68,12 @@ class InversionSettings:
 
     gamma: float = 1.0
     terms: int = 40
-    method: str = "euler"
 
     def __post_init__(self):
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
         if self.terms < 10:
             raise ConfigError(f"terms must be >= 10, got {self.terms}")
-        if self.method != "euler":
-            raise ConfigError(f"unsupported inversion method {self.method!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +91,25 @@ def m_infinity(model):
     return th * fl / (1.0 - (1.0 - th) * fl)
 
 
-def _service_splits(service, upper, near=None):
-    """Quadrature split points: service kinks plus, for an unbounded density
-    (gamma shape < 1), a geometric ladder toward the singular endpoint."""
-    pts = [b for b in service.breakpoints() if 0.0 < b < upper]
-    if near is not None and not getattr(service, "bounded_density", True) \
-            and service.has_density:
-        at, span = near
-        pts.extend(at + u if at == 0.0 else at - u for u in geometric_ladder(span))
-    return pts
+def _m_theta0(model, s):
+    """theta=0 M at points s of any order and shape, marched over the knots
+    {0, max(s, 0), service breakpoints below max s}:
+    M(b) = M(a) e^{-lam (b-a)} + M(inf) lam int_a^b F(v) e^{-lam (b-v)} dv,
+    with every piece integral from one panel call."""
+    lam = model.lam
+    s = np.maximum(np.asarray(s, dtype=float), 0.0)
+    top = float(np.max(s, initial=0.0))
+    bps = [b for b in model.service.breakpoints() if b < top]
+    knots = np.unique(np.concatenate([[0.0], s.ravel(), bps]))
+    ends = knots[1:, None]
+    pieces = gauss_panels(
+        lambda v: model.service.cdf(v) * np.exp(-lam * (ends - v)), knots)
+    decay = np.exp(-lam * np.diff(knots))
+    scale = m_infinity(model) * lam
+    m = np.zeros(knots.size)
+    for k in range(pieces.size):
+        m[k + 1] = m[k] * decay[k] + scale * pieces[k]
+    return m[np.searchsorted(knots, s)]
 
 
 def m_x_stationary(model, x):
@@ -104,30 +117,24 @@ def m_x_stationary(model, x):
     if x <= 0:
         return 0.0
     lam, th = model.lam, model.theta
-    minf = m_infinity(model)
     if th == 0.0:
-        # M(x) = M(inf) * lam * int_0^x F(s) e^{-lam (x-s)} ds (CDF only)
-        def integrand(s):
-            s = np.atleast_1d(s)
-            return np.asarray(model.service.cdf(s)) * np.exp(-lam * (x - s))
-
-        val = minf * lam * composite_gauss(integrand, 0.0, x,
-                                           _service_splits(model.service, x))
-        return float(min(max(val, 0.0), 1.0))
+        return float(min(max(_m_theta0(model, x), 0.0), 1.0))
 
     if not model.service.has_density:
         raise UnsupportedServiceError(
             "m_x_stationary with theta > 0 needs the service density; "
             f"{model.service.kind} has none")
 
-    coeff = th + (1.0 - th) * minf
+    coeff = th + (1.0 - th) * m_infinity(model)
 
     def integrand(s):
-        s = np.atleast_1d(s)
         return np.asarray(model.service.pdf(s)) * (
             np.exp(-lam * th * s) - np.exp(lam * (s - th * s - x)))
 
-    splits = _service_splits(model.service, x, near=(0.0, x))
+    splits = [b for b in model.service.breakpoints() if 0.0 < b < x]
+    if not model.service.bounded_density:
+        # f is singular at 0
+        splits.extend(geometric_ladder(x))
     val = coeff * composite_gauss(integrand, 0.0, x, splits)
     return float(min(max(val, 0.0), 1.0))
 
@@ -199,78 +206,35 @@ def _euler_invert(fhat, x, settings):
 # CDF / PDF
 # ---------------------------------------------------------------------------
 
-def _m_theta0_sorted(model, pts):
-    """theta=0 M(.) at sorted points, built cumulatively:
-    M(b) = M(a) e^{-lam (b-a)} + M(inf) lam int_a^b F(v) e^{-lam (b-v)} dv,
-    so a whole node set costs one pass."""
-    lam = model.lam
-    minf = m_infinity(model)
-    out = np.empty(pts.size)
-    prev_t = 0.0
-    prev_m = 0.0
-    for i, b in enumerate(pts):
-        if b <= 0:
-            out[i] = 0.0
-            continue
-
-        def integrand(v, b=b):
-            v = np.atleast_1d(v)
-            return np.asarray(model.service.cdf(v)) * np.exp(-lam * (b - v))
-
-        splits = _service_splits(model.service, b)
-        piece = composite_gauss(integrand, prev_t, b,
-                                [p for p in splits if p > prev_t])
-        prev_m = prev_m * math.exp(-lam * (b - prev_t)) + minf * lam * piece
-        prev_t = b
-        out[i] = prev_m
-    return out
+def _m_convolution(model, x, kernel, ladder):
+    """lam int_0^x M(s) K(x-s) ds at theta = 0. The integrand kinks at each
+    service breakpoint b (through M) and at x - b (through K); `ladder`
+    adds split points toward s = x where K is singular."""
+    bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
+    splits = bps + [x - b for b in bps]
+    if ladder:
+        splits += [x - u for u in geometric_ladder(x)]
+    return model.lam * composite_gauss(
+        lambda s: _m_theta0(model, s) * kernel(x - s), 0.0, x, splits)
 
 
 def _cdf_theta0(model, x):
-    lam = model.lam
-    bps = list(model.service.breakpoints())
-    splits = sorted({b for b in bps if 0 < b < x}
-                    | {x - b for b in bps if 0 < x - b < x})
-
-    def integrand(s):
-        s = np.atleast_1d(s)
-        order = np.argsort(s)
-        m_sorted = _m_theta0_sorted(model, s[order])
-        m = np.empty_like(m_sorted)
-        m[order] = m_sorted
-        return m * (1.0 - np.asarray(model.service.cdf(x - s)))
-
-    mx = _m_theta0_sorted(model, np.array([x]))[0]
-    return mx + lam * composite_gauss(integrand, 0.0, x, splits)
+    """Phi(x) = M(x) + lam int_0^x M(s) (1 - F(x-s)) ds."""
+    return float(_m_theta0(model, x)) + _m_convolution(
+        model, x, lambda z: 1.0 - model.service.cdf(z), ladder=False)
 
 
 def _pdf_theta0(model, x):
     """Derivative of the convolution form:
     phi(x) = M(inf) lam F(x) - lam int_0^x M(s) dF(x-s)."""
-    lam = model.lam
-    minf = m_infinity(model)
-    lead = minf * lam * float(model.service.cdf(x))
-    if not model.service.has_density:
+    service = model.service
+    lead = m_infinity(model) * model.lam * float(service.cdf(x))
+    if not service.has_density:
         # deterministic atom at d: the Stieltjes convolution collapses
-        d = model.service.breakpoints()[0]
-        tail = lam * _m_theta0_sorted(model, np.array([x - d]))[0] if x > d else 0.0
-        return lead - tail
-    bps = list(model.service.breakpoints())
-    splits = sorted({b for b in bps if 0 < b < x}
-                    | {x - b for b in bps if 0 < x - b < x})
-    if not getattr(model.service, "bounded_density", True):
-        # f(x - s) is singular as s -> x
-        splits = sorted(set(splits) | {x - u for u in geometric_ladder(x)})
-
-    def integrand(s):
-        s = np.atleast_1d(s)
-        order = np.argsort(s)
-        m_sorted = _m_theta0_sorted(model, s[order])
-        m = np.empty_like(m_sorted)
-        m[order] = m_sorted
-        return m * np.asarray(model.service.pdf(x - s))
-
-    return lead - lam * composite_gauss(integrand, 0.0, x, splits)
+        d = service.breakpoints()[0]
+        return lead - model.lam * float(_m_theta0(model, x - d))
+    return lead - _m_convolution(model, x, service.pdf,
+                                 ladder=not service.bounded_density)
 
 
 def aoi_cdf_stationary(model, x, inv=None):
@@ -280,7 +244,7 @@ def aoi_cdf_stationary(model, x, inv=None):
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        val = float(_cdf_theta0(model, x))
+        val = _cdf_theta0(model, x)
     else:
         inv = inv or InversionSettings()
         val = _euler_invert(lambda s: aoi_lst(model, s) / s, x, inv)
@@ -294,7 +258,7 @@ def aoi_pdf_stationary(model, x, inv=None):
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        return float(_pdf_theta0(model, x))
+        return _pdf_theta0(model, x)
     inv = inv or InversionSettings()
     return _euler_invert(lambda s: aoi_lst(model, s), x, inv)
 

@@ -160,7 +160,7 @@ def _diagonal_arrays(config, idle, u, x, m):
     return h, lam, Lam, fx, Fx, c
 
 
-def kernel_gz(config, idle, t, y, grid_n=None):
+def kernel_gz(config, idle, t, y):
     """G_z(t, y, 0): completion flux of informative packets with age <= y.
 
     Trapezoid evaluation of
@@ -172,7 +172,7 @@ def kernel_gz(config, idle, t, y, grid_n=None):
     _require_density(config.service, "kernel_gz")
     if y == 0:
         return 0.0
-    m = grid_n or max(2, math.ceil(y / _default_step(config.service) - 1e-12))
+    m = max(2, math.ceil(y / _default_step(config.service) - 1e-12))
     h, _, Lam, fx, _, c = _diagonal_arrays(config, idle, t - y, y, m)
     gz = _kernels.history(c, fx, Lam, config.theta, h)
     return max(float(gz[m]), 0.0)
@@ -184,7 +184,7 @@ def _joint_block(config, h, Lam, fx, c):
     return _kernels.history(gz, np.ones(Lam.size), Lam, 1.0, h)
 
 
-def m_tx(config, idle, t, x, grid_n=None):
+def m_tx(config, idle, t, x):
     """M(t, x): probability the system is idle at t with AoI <= x.
 
     Piecewise: equals the idle value for 0 <= t < x, else the trapezoid
@@ -197,7 +197,7 @@ def m_tx(config, idle, t, x, grid_n=None):
     if x == 0:
         return 0.0
     _require_density(config.service, "m_tx")
-    m = grid_n or max(2, math.ceil(x / _default_step(config.service) - 1e-12))
+    m = max(2, math.ceil(x / _default_step(config.service) - 1e-12))
     h, _, Lam, fx, _, c = _diagonal_arrays(config, idle, t - x, x, m)
     mx = _joint_block(config, h, Lam, fx, c)
     return float(min(max(mx[m], 0.0), 1.0))
@@ -288,7 +288,5 @@ def mean_aoi_negligible(profile, t):
     # the integrand kinks where t - x crosses a profile breakpoint
     kinks = [t - b for b in profile.breakpoints_in(0.0, t)]
 
-    def integrand(xs):
-        return np.array([math.exp(-profile.integral(t - xi, t)) for xi in np.atleast_1d(xs)])
-
-    return composite_gauss(integrand, 0.0, t, kinks)
+    return composite_gauss(lambda xs: np.exp(-profile.integral(t - xs, t)),
+                           0.0, t, kinks)

@@ -5,9 +5,8 @@ import pytest
 
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
-                  SystemConfig, GridFunction, rate_at, rate_integral,
-                  service_cdf, service_pdf, service_lst, sample_service,
-                  is_nbu, rate_from_dict, service_from_dict, config_from_dict,
+                  SystemConfig, GridFunction, rate_at, is_nbu,
+                  rate_from_dict, service_from_dict, config_from_dict,
                   ConfigError, UnsupportedServiceError)
 
 SQUARE = PiecewiseConstant((0.0, 3.0, 6.0, 9.0, 12.0),
@@ -50,7 +49,7 @@ def test_piecewise_requires_increasing_breakpoints():
 
 
 def test_rate_integral_constant():
-    assert rate_integral(Constant(1.8), 0.0, 5.0) == pytest.approx(9.0, abs=1e-14)
+    assert Constant(1.8).integral(0.0, 5.0) == pytest.approx(9.0, abs=1e-14)
 
 
 def test_rate_integral_sinusoid_closed_form():
@@ -58,21 +57,21 @@ def test_rate_integral_sinusoid_closed_form():
     prof = Sinusoid(a, b, w)
     for t in (0.3, 1.0, 4.7, 12.0):
         want = a * t + (b / w) * (1.0 - math.cos(w * t))
-        assert rate_integral(prof, 0.0, t) == pytest.approx(want, abs=1e-12)
+        assert prof.integral(0.0, t) == pytest.approx(want, abs=1e-12)
         # independent composite check
         grid = np.linspace(0.0, t, 20001)
         approx = np.trapezoid(rate_at(prof, grid), grid)
-        assert rate_integral(prof, 0.0, t) == pytest.approx(approx, abs=1e-5)
+        assert prof.integral(0.0, t) == pytest.approx(approx, abs=1e-5)
 
 
 def test_rate_integral_empty_interval():
     for prof in (Constant(2.0), SQUARE, Sinusoid(1.0, 0.5, 2.0)):
-        assert rate_integral(prof, 1.3, 1.3) == 0.0
+        assert prof.integral(1.3, 1.3) == 0.0
 
 
 def test_rate_integral_rejects_reversed_interval():
     with pytest.raises(ValueError):
-        rate_integral(Constant(1.0), 2.0, 1.0)
+        Constant(1.0).integral(2.0, 1.0)
 
 
 def test_rate_integral_additive():
@@ -80,21 +79,21 @@ def test_rate_integral_additive():
     for prof in (Constant(1.1), Sinusoid(2.0, 1.5, 0.7), SQUARE):
         for _ in range(25):
             t0, t1, t2 = np.sort(rng.uniform(0.0, 11.0, 3))
-            whole = rate_integral(prof, t0, t2)
-            split = rate_integral(prof, t0, t1) + rate_integral(prof, t1, t2)
+            whole = prof.integral(t0, t2)
+            split = prof.integral(t0, t1) + prof.integral(t1, t2)
             assert whole == pytest.approx(split, abs=1e-12)
 
 
 def test_piecewise_integral_exact():
     # 3 units at 1.5, 1 unit at 0.5
-    assert rate_integral(SQUARE, 0.0, 4.0) == pytest.approx(5.0, abs=1e-14)
+    assert SQUARE.integral(0.0, 4.0) == pytest.approx(5.0, abs=1e-14)
 
 
 def test_tabulated_interpolates_and_integrates():
     tab = Tabulated((0.0, 1.0, 2.0), (1.0, 2.0, 1.0))
     assert rate_at(tab, 0.5) == pytest.approx(1.5)
-    assert rate_integral(tab, 0.0, 2.0) == pytest.approx(3.0, abs=1e-12)
-    assert rate_integral(tab, 0.5, 1.5) == pytest.approx(1.75, abs=1e-12)
+    assert tab.integral(0.0, 2.0) == pytest.approx(3.0, abs=1e-12)
+    assert tab.integral(0.5, 1.5) == pytest.approx(1.75, abs=1e-12)
     with pytest.raises(ValueError):
         rate_at(tab, 3.0)
 
@@ -102,9 +101,15 @@ def test_tabulated_interpolates_and_integrates():
 def test_rate_integral_accepts_array_of_upper_ends():
     tab = Tabulated((0.0, 2.0, 4.0, 11.0), (1.0, 3.0, 0.0, 2.0))
     ts = np.linspace(0.5, 11.0, 22)
+    lows = ts - np.linspace(0.0, 0.5, 22)
     for prof in (Constant(1.1), Sinusoid(2.0, 1.5, 0.7), SQUARE, tab):
         got = prof.integral(0.5, ts)
         assert np.array_equal(got, [prof.integral(0.5, t) for t in ts])
+        # array of lower ends, and both ends as arrays
+        got = prof.integral(ts - 0.5, 11.0)
+        assert np.array_equal(got, [prof.integral(t - 0.5, 11.0) for t in ts])
+        got = prof.integral(lows, ts)
+        assert np.array_equal(got, [prof.integral(lo, t) for lo, t in zip(lows, ts)])
     with pytest.raises(ValueError):
         Constant(1.0).integral(2.0, np.array([3.0, 1.0]))
 
@@ -120,24 +125,24 @@ def test_max_rate_bounds():
 # ---------------------------------------------------------------------------
 
 def test_lst_examples():
-    assert service_lst(Exponential(1.2), 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert service_lst(Exponential(1.2), 1.2) == pytest.approx(0.5, abs=1e-15)
+    assert Exponential(1.2).lst(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert Exponential(1.2).lst(1.2) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_deterministic_cdf_below_atom():
-    assert service_cdf(Deterministic(1 / 1.2), 0.5) == 0.0
-    assert service_cdf(Deterministic(1 / 1.2), 1.0) == 1.0
+    assert Deterministic(1 / 1.2).cdf(0.5) == 0.0
+    assert Deterministic(1 / 1.2).cdf(1.0) == 1.0
 
 
 def test_deterministic_pdf_rejected():
     with pytest.raises(UnsupportedServiceError):
-        service_pdf(Deterministic(1.0), 0.5)
+        Deterministic(1.0).pdf(0.5)
 
 
 @pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)
 def test_cdf_monotone_and_bounded(svc):
     z = np.linspace(0.0, 12.0, 1000)
-    F = np.asarray(service_cdf(svc, z))
+    F = np.asarray(svc.cdf(z))
     assert np.all(F >= 0.0) and np.all(F <= 1.0)
     assert np.all(np.diff(F) >= -1e-15)
 
@@ -146,14 +151,14 @@ def test_cdf_monotone_and_bounded(svc):
 def test_lst_derivative_matches_mean(svc):
     # mean = -d/ds LST at s=0
     h = 1e-6
-    fd = (float(np.real(service_lst(svc, h))) - 1.0) / h
+    fd = (float(np.real(svc.lst(h))) - 1.0) / h
     assert abs(fd + svc.mean) < 1e-4
 
 
 @pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)
 def test_lst_strictly_decreasing_on_reals(svc):
     s = np.linspace(0.0, 6.0, 40)
-    vals = np.real(np.asarray(service_lst(svc, s)))
+    vals = np.real(np.asarray(svc.lst(s)))
     assert np.all(np.diff(vals) < 0)
 
 
@@ -168,7 +173,7 @@ def test_uniform_lst_small_argument_stable():
     # series branch vs exact, straddling the switch point
     for s in (1e-12, 1e-9, 1e-6, 1e-3):
         exact = -math.expm1(-s * u.high) / (s * u.high)
-        assert complex(service_lst(u, s)).real == pytest.approx(exact, rel=1e-10)
+        assert complex(u.lst(s)).real == pytest.approx(exact, rel=1e-10)
 
 
 def test_gamma_density_boundedness_flag():
@@ -183,7 +188,7 @@ def test_erlang_mean():
 
 def test_sampling_deterministic():
     rng = np.random.default_rng(0)
-    assert sample_service(Deterministic(0.7), rng) == 0.7
+    assert Deterministic(0.7).sample(rng) == 0.7
 
 
 def test_sampling_means():
@@ -200,7 +205,7 @@ def test_sampling_matches_cdf(svc):
     draws = np.sort(np.atleast_1d(svc.sample(rng, 100_000)))
     z = np.linspace(0.0, 4.0 * svc.mean, 50)
     emp = np.searchsorted(draws, z, side="right") / draws.size
-    F = np.asarray(service_cdf(svc, z))
+    F = np.asarray(svc.cdf(z))
     assert np.max(np.abs(emp - F)) < 0.01
 
 

@@ -117,6 +117,17 @@ def test_m_x_no_preemption_exponential_closed_form():
         assert m_x_stationary(model, x) == pytest.approx(want, abs=1e-12)
 
 
+def test_m_x_no_preemption_deterministic_kink():
+    # M(x) = M(inf) (1 - e^{-lam (x - d)}) past the service atom, 0 before:
+    # the M recursion must place a knot at d
+    lam, d = 0.8, 1 / 1.2
+    model = StationaryModel(lam, Deterministic(d), 0.0)
+    minf = m_infinity(model)
+    for x in (0.4, d, 1.0, 1.5, 4.0, 20.0):
+        want = minf * -math.expm1(-lam * (x - d)) if x > d else 0.0
+        assert m_x_stationary(model, x) == pytest.approx(want, abs=1e-12)
+
+
 @pytest.mark.parametrize("svc,tol", [
     (Exponential(1.2), 1e-6),
     (Uniform(0.0, 5 / 3), 1e-6),
@@ -201,8 +212,6 @@ def test_inversion_settings_validation():
         InversionSettings(gamma=0.0)
     with pytest.raises(ConfigError):
         InversionSettings(terms=5)
-    with pytest.raises(ConfigError):
-        InversionSettings(method="talbot")
 
 
 # ---------------------------------------------------------------------------
