@@ -14,11 +14,10 @@ from .model import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
 from .tv_solver import (SolverSettings, IdleProbabilityCurve, solve_idle_prob,
                         kernel_gz, m_tx, aoi_cdf_tv, aoi_cdf_negligible,
                         mean_aoi_negligible)
-from .stationary import (StationaryModel, InversionSettings, m_infinity,
-                         m_x_stationary, aoi_lst, aoi_cdf_stationary,
-                         aoi_pdf_stationary, closed_form_mm11,
-                         closed_form_md11, closed_form_mm11_preemptive,
-                         check_dominance)
+from .stationary import (StationaryModel, m_infinity, m_x_stationary,
+                         aoi_lst, aoi_cdf_stationary, aoi_pdf_stationary,
+                         closed_form_mm11, closed_form_md11,
+                         closed_form_mm11_preemptive, check_dominance)
 from .simulator import SimRequest, simulate_aoi_at, empirical_cdf
 from .optimizer import (ConstraintSchedule, PiecewiseRatePlan,
                         OptimizerSettings, OptimizeResult, choose_theta,
@@ -37,7 +36,7 @@ __all__ = [
     "SolverSettings", "IdleProbabilityCurve", "solve_idle_prob",
     "kernel_gz", "m_tx", "aoi_cdf_tv", "aoi_cdf_negligible",
     "mean_aoi_negligible",
-    "StationaryModel", "InversionSettings", "m_infinity", "m_x_stationary",
+    "StationaryModel", "m_infinity", "m_x_stationary",
     "aoi_lst", "aoi_cdf_stationary", "aoi_pdf_stationary",
     "closed_form_mm11", "closed_form_md11", "closed_form_mm11_preemptive",
     "check_dominance",

@@ -37,13 +37,24 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_INFEASIBLE = 4
 
-_FIGURE_IDS = ("fig2a", "fig2b", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8")
-
-
 class _Infeasible(Exception):
     def __init__(self, message, violations):
         super().__init__(message)
         self.violations = violations
+
+
+def _infeasible(label, result):
+    """_Infeasible for an OptimizeResult that found no feasible plan: names
+    the rounds that ran and whether the stationary search or the audit
+    failed."""
+    n = result.rounds
+    message = f"{label}: no feasible plan within {n} round{'s' * (n != 1)}"
+    if result.plan is None:
+        message += "; no rate_grid entry meets the stationary targets"
+    return _Infeasible(
+        message,
+        [{"eta": eta, "interval": k, "achieved": phi, "required": req}
+         for eta, k, phi, req in result.violations])
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +105,18 @@ def _solver_settings(args, sec, horizon):
     grid_n = args.grid_n if args.grid_n is not None else sec.get("grid_n")
     etol = args.etol if args.etol is not None else sec.get("etol", 1e-8)
     return SolverSettings(horizon=horizon, grid_n=grid_n, etol=float(etol))
+
+
+def _optimizer_settings(args, **kwargs):
+    """OptimizerSettings whose audit solver takes --grid-n / --etol."""
+    solver_kwargs = {}
+    if args.grid_n is not None:
+        solver_kwargs["grid_n"] = args.grid_n
+    if args.etol is not None:
+        solver_kwargs["etol"] = args.etol
+    if solver_kwargs:
+        kwargs["solver"] = SolverSettings(**solver_kwargs)
+    return OptimizerSettings(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +223,13 @@ def _cmd_optimize(args):
             kwargs[key] = float(sec[key])
     if "ite_max" in sec:
         kwargs["ite_max"] = int(sec["ite_max"])
-    solver_kwargs = {}
-    if args.grid_n is not None:
-        solver_kwargs["grid_n"] = args.grid_n
-    if args.etol is not None:
-        solver_kwargs["etol"] = args.etol
-    if solver_kwargs:
-        kwargs["solver"] = SolverSettings(**solver_kwargs)
-    settings = OptimizerSettings(**kwargs)
+    settings = _optimizer_settings(args, **kwargs)
     theta = sec.get("theta")
     if theta is not None:
         theta = float(theta)
     result = optimize_rates(service, schedule, settings, theta=theta)
     if not result.feasible:
-        raise _Infeasible(
-            f"no feasible plan within {settings.ite_max} rounds",
-            [{"eta": eta, "interval": k, "achieved": phi, "required": req}
-             for eta, k, phi, req in result.violations])
+        raise _infeasible("heuristic", result)
     rows = _plan_rows("heuristic", result.plan)
     return {"command": "optimize",
             "columns": ["plan", "t_start", "t_end", "rate", "cost"],
@@ -324,11 +337,14 @@ def _fig6(args):
     reps = args.replications if args.replications is not None else 20000
     seed = args.seed if args.seed is not None else 606
     emp = empirical_cdf(SimRequest(system, t, reps, seed), xs)
+    model = StationaryModel(system.rate.a, system.service, system.theta)
     rows = [(float(x),
              aoi_cdf_tv(system, t, float(x), settings=settings, idle=idle),
+             aoi_cdf_stationary(model, float(x)),
              float(e)) for x, e in zip(xs, emp)]
     return {"command": "reproduce-figure", "figure": "fig6",
-            "columns": ["x", "analytic", "simulated"], "rows": rows}
+            "columns": ["x", "analytic", "stationary", "simulated"],
+            "rows": rows}
 
 
 def _fig7(args):
@@ -365,15 +381,12 @@ def _fig8(args):
         thresholds=(7.5, 6.5, 4.5, 3.0, 4.5, 6.5, 7.5),
         probabilities=(0.9,) * 7)
     service = Uniform(0.0, 4.0 / 3.0)
-    settings = OptimizerSettings()
+    settings = _optimizer_settings(args)
     heuristic = optimize_rates(service, schedule, settings)
     benchmark = benchmark_constant_rate(service, schedule, settings)
     for label, res in (("heuristic", heuristic), ("benchmark", benchmark)):
         if not res.feasible:
-            raise _Infeasible(
-                f"fig8 {label} plan infeasible",
-                [{"eta": eta, "interval": k, "achieved": phi, "required": req}
-                 for eta, k, phi, req in res.violations])
+            raise _infeasible(f"fig8 {label}", res)
     rows = _plan_rows("heuristic", heuristic.plan) \
         + _plan_rows("benchmark", benchmark.plan)
     return {"command": "reproduce-figure", "figure": "fig8",
@@ -384,27 +397,22 @@ def _fig8(args):
             "theta": heuristic.theta}
 
 
+_FIGURES = {
+    "fig2a": lambda args: _fig2(args, 3.0),
+    "fig2b": lambda args: _fig2(args, 10.0),
+    "fig4a": lambda args: _fig4(args, "a"),
+    "fig4b": lambda args: _fig4(args, "b"),
+    "fig5": _fig5,
+    "fig6": _fig6,
+    "fig7": _fig7,
+    "fig8": _fig8,
+}
+
+
 def _cmd_reproduce_figure(args):
-    fig = args.figure
-    if fig is None:
+    if args.figure is None:
         raise ConfigError("reproduce-figure needs --figure ID")
-    if fig == "fig2a":
-        return _fig2(args, 3.0)
-    if fig == "fig2b":
-        return _fig2(args, 10.0)
-    if fig == "fig4a":
-        return _fig4(args, "a")
-    if fig == "fig4b":
-        return _fig4(args, "b")
-    if fig == "fig5":
-        return _fig5(args)
-    if fig == "fig6":
-        return _fig6(args)
-    if fig == "fig7":
-        return _fig7(args)
-    if fig == "fig8":
-        return _fig8(args)
-    raise ConfigError(f"unknown figure id {fig!r}")
+    return _FIGURES[args.figure](args)
 
 
 # ---------------------------------------------------------------------------
@@ -418,24 +426,30 @@ def _build_parser():
                     "(time-varying solver, stationary transforms, simulator, "
                     "rate optimizer)")
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "solve-tv": _cmd_solve_tv,
-        "solve-stationary": _cmd_solve_stationary,
-        "simulate": _cmd_simulate,
-        "optimize": _cmd_optimize,
-        "reproduce-figure": _cmd_reproduce_figure,
+    flags = {
+        "--config": {"help": "JSON experiment file"},
+        "--figure": {"choices": tuple(_FIGURES)},
+        "--seed": {"type": int},
+        "--replications": {"type": int},
+        "--grid-n": {"type": int},
+        "--etol": {"type": float},
     }
-    for name, handler in handlers.items():
+    # each command accepts exactly the flags its handler reads
+    commands = {
+        "solve-tv": (_cmd_solve_tv, ("--config", "--grid-n", "--etol")),
+        "solve-stationary": (_cmd_solve_stationary, ("--config",)),
+        "simulate": (_cmd_simulate, ("--config", "--seed", "--replications")),
+        "optimize": (_cmd_optimize, ("--config", "--grid-n", "--etol")),
+        "reproduce-figure": (_cmd_reproduce_figure,
+                             ("--figure", "--seed", "--replications",
+                              "--grid-n", "--etol")),
+    }
+    for name, (handler, names) in commands.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON experiment file")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--replications", type=int, default=None)
-        p.add_argument("--grid-n", type=int, default=None, dest="grid_n")
-        p.add_argument("--etol", type=float, default=None)
-        if name == "reproduce-figure":
-            p.add_argument("--figure", choices=_FIGURE_IDS, default=None)
         p.set_defaults(handler=handler)
     return parser
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import Exponential, Deterministic, Uniform, Gamma, PiecewiseConstant, SystemConfig
-from .stationary import StationaryModel, InversionSettings, aoi_cdf_stationary
+from .stationary import StationaryModel, aoi_cdf_stationary
 from .tv_solver import SolverSettings, solve_idle_prob, aoi_cdf_tv
 
 __all__ = [
@@ -125,7 +125,6 @@ class OptimizerSettings:
     ite_max: int = 30
     eta_spacing: float = 0.5
     solver: SolverSettings = field(default_factory=SolverSettings)
-    inversion: InversionSettings = field(default_factory=InversionSettings)
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.rate_grid)
@@ -218,7 +217,7 @@ def stationary_rate_search(service, theta, active, settings, _cache=None):
             phi = cache.get(key)
             if phi is None:
                 model = StationaryModel(lam, service, theta)
-                phi = aoi_cdf_stationary(model, x, inv=settings.inversion)
+                phi = aoi_cdf_stationary(model, x)
                 cache[key] = phi
             if phi < p:
                 ok = False

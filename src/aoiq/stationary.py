@@ -30,17 +30,28 @@ from ._quad import composite_gauss, gauss_panels, geometric_ladder
 from .errors import ConfigError, InversionError, UnsupportedServiceError
 
 __all__ = [
-    "StationaryModel", "InversionSettings",
+    "StationaryModel",
     "m_infinity", "m_x_stationary", "aoi_lst",
     "aoi_cdf_stationary", "aoi_pdf_stationary",
     "closed_form_mm11", "closed_form_md11", "closed_form_mm11_preemptive",
     "check_dominance",
 ]
 
-# Euler-summation inversion constants: discretization error ~ exp(-A),
-# roundoff amplification ~ exp(A/2) * eps. A = 18.4 balances both near 1e-8.
+# Euler-summation inversion constants (Abate-Whitt 1995): the Bromwich
+# contour sits at Re(s) = A / (2x), the aliasing error is ~exp(-A) and the
+# roundoff amplification ~exp(A/2) * eps; A = 18.4 balances both near 1e-8.
+# A is the same at every x: letting it grow with x (say A = 2x) would
+# multiply the roundoff by e^x and turn the tail into noise.
 _EULER_A = 18.4
+_EULER_TERMS = 40
 _EULER_STAGES = 12
+# series index, alternating signs (first term halved) and the binomial
+# weights of the Euler average over the last _EULER_STAGES + 1 partial sums
+_EULER_K = np.arange(_EULER_TERMS + _EULER_STAGES + 1)
+_EULER_SIGNS = (-1.0) ** _EULER_K
+_EULER_SIGNS[0] = 0.5
+_EULER_WEIGHTS = np.array([math.comb(_EULER_STAGES, j)
+                           for j in range(_EULER_STAGES + 1)]) / 2.0 ** _EULER_STAGES
 # relative threshold for the lambda ~ mu limit branches
 _EQ_RATE_DELTA = 1e-6
 
@@ -58,22 +69,6 @@ class StationaryModel:
             raise ConfigError(f"stationary model needs lambda > 0, got {self.lam}")
         if not (0.0 <= self.theta <= 1.0):
             raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
-
-
-@dataclass(frozen=True)
-class InversionSettings:
-    """Bromwich inversion control. gamma is the contour-abscissa floor
-    (any gamma > 0 is valid: the transform's singularities sit in
-    Re(s) <= 0 for a proper AoI law); terms is the series truncation."""
-
-    gamma: float = 1.0
-    terms: int = 40
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-        if self.terms < 10:
-            raise ConfigError(f"terms must be >= 10, got {self.terms}")
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +164,20 @@ def aoi_lst(model, s):
     return out if out.ndim else complex(out)
 
 
-def _euler_invert(fhat, x, settings):
+def _euler_invert(fhat, x):
     """Abate-Whitt Euler summation of the Bromwich series at time x."""
-    a = max(_EULER_A, 2.0 * settings.gamma * x)
-    n, mst = settings.terms, _EULER_STAGES
-    k = np.arange(n + mst + 1)
-    s = (a + 2j * np.pi * k) / (2.0 * x)
+    a, n = _EULER_A, _EULER_TERMS
+    s = (a + 2j * np.pi * _EULER_K) / (2.0 * x)
     with np.errstate(over="raise", invalid="raise"):
         try:
             vals = np.asarray(fhat(s), dtype=complex)
-            terms = 2.0 * np.real(vals) * (-1.0) ** k
-            terms[0] *= 0.5
-            partial = np.cumsum(terms)
-            weights = np.array([math.comb(mst, j) for j in range(mst + 1)]) / 2.0 ** mst
+            partial = np.cumsum(2.0 * np.real(vals) * _EULER_SIGNS)
             scale = math.exp(a / 2.0) / (2.0 * x)
-            value = scale * float(np.dot(weights, partial[n:n + mst + 1]))
+            value = scale * float(np.dot(_EULER_WEIGHTS, partial[n:]))
             # successive Euler-averaged estimates agree to ~1e-9 when the
             # series is healthy; a large gap means roundoff has taken over
-            drift = abs(value - scale * float(np.dot(weights, partial[n - 1:n + mst])))
+            previous = scale * float(np.dot(_EULER_WEIGHTS, partial[n - 1:-1]))
+            drift = abs(value - previous)
         except (FloatingPointError, OverflowError) as exc:
             raise InversionError(
                 f"inversion overflowed at x={x} (abscissa {a / (2 * x):.3g})",
@@ -237,7 +228,7 @@ def _pdf_theta0(model, x):
                                  ladder=not service.bounded_density)
 
 
-def aoi_cdf_stationary(model, x, inv=None):
+def aoi_cdf_stationary(model, x):
     """P(AoI <= x) in steady state. theta = 0 goes through the convolution
     quadrature (deterministic service allowed); theta > 0 inverts
     Phi~(s)/s."""
@@ -246,12 +237,11 @@ def aoi_cdf_stationary(model, x, inv=None):
     if model.theta == 0.0:
         val = _cdf_theta0(model, x)
     else:
-        inv = inv or InversionSettings()
-        val = _euler_invert(lambda s: aoi_lst(model, s) / s, x, inv)
+        val = _euler_invert(lambda s: aoi_lst(model, s) / s, x)
     return min(max(val, 0.0), 1.0)
 
 
-def aoi_pdf_stationary(model, x, inv=None):
+def aoi_pdf_stationary(model, x):
     """AoI density in steady state (inversion of Phi~(s) for theta > 0).
     Known to lose accuracy near x = 0 when the true density does not
     vanish there; the CDF route is the primary contract."""
@@ -259,8 +249,7 @@ def aoi_pdf_stationary(model, x, inv=None):
         return 0.0
     if model.theta == 0.0:
         return _pdf_theta0(model, x)
-    inv = inv or InversionSettings()
-    return _euler_invert(lambda s: aoi_lst(model, s), x, inv)
+    return _euler_invert(lambda s: aoi_lst(model, s), x)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,34 @@ def test_infeasible_optimize_maps_to_exit_4(tmp_path, capsys):
     assert out == ""
     record = expect_error_record(err)
     assert "violations" in record
+    # the stationary search finds no rate in the first round
+    assert "within 1 round;" in record["message"]
+    assert "no rate_grid entry" in record["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-stationary", "--seed", "3"],
+    ["solve-stationary", "--grid-n", "100"],
+    ["solve-tv", "--replications", "5"],
+    ["simulate", "--etol", "1e-6"],
+    ["optimize", "--seed", "3"],
+    ["reproduce-figure", "--figure", "fig6", "--config", "CFG"],
+], ids=["solve-stationary-seed", "solve-stationary-grid-n",
+        "solve-tv-replications", "simulate-etol", "optimize-seed",
+        "reproduce-figure-config"])
+def test_flag_not_read_by_command_is_rejected(tmp_path, capsys, argv):
+    doc = dict(MM_DOC, solve_stationary={"xs": [1.0]},
+               solve_tv={"t": 2.0, "xs": [1.0]},
+               simulate={"t": 2.0, "xs": [1.0], "replications": 10},
+               optimize={"times": [0.0, 10.0], "thresholds": [1.0],
+                         "probabilities": [0.5]})
+    cfg = write_cfg(tmp_path, doc)
+    argv = [cfg if a == "CFG" else a for a in argv]
+    if "--config" not in argv:
+        argv += ["--config", cfg]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_unknown_figure_id_rejected(capsys):
@@ -209,6 +237,18 @@ def test_reproduce_fig2a(capsys):
     assert len(series) == 4 and len(payload["rows"]) == 80
     for _, x, analytic, simulated in payload["rows"]:
         assert 0.0 <= analytic <= 1.0 and 0.0 <= simulated <= 1.0
+
+
+def test_reproduce_fig6_has_stationary_column(capsys):
+    rc, out, err = run(capsys, ["reproduce-figure", "--figure", "fig6",
+                                "--replications", "50", "--format", "json"])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["columns"] == ["x", "analytic", "stationary", "simulated"]
+    assert len(payload["rows"]) == 32
+    # at t=50 the finite-time law has settled to the stationary one
+    for _, analytic, stationary, _ in payload["rows"]:
+        assert abs(analytic - stationary) <= 1e-3
 
 
 def test_reproduce_fig8(capsys):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from aoiq import stationary
 from aoiq import (Exponential, Deterministic, Uniform, Gamma, Erlang,
-                  StationaryModel, InversionSettings, m_infinity,
+                  StationaryModel, m_infinity,
                   m_x_stationary, aoi_lst, aoi_cdf_stationary,
                   aoi_pdf_stationary, closed_form_mm11, closed_form_md11,
                   closed_form_mm11_preemptive, check_dominance,
@@ -201,17 +202,37 @@ def test_inversion_recovers_full_preemption_pdf():
         assert aoi_pdf_stationary(model, x) == pytest.approx(want, abs=1e-5)
 
 
-def test_inversion_flags_roundoff_blowup():
+@pytest.mark.parametrize("x", [30.0, 60.0, 100.0, 300.0])
+def test_inversion_tail_full_preemption(x):
+    for lam, mu in ((2.0, 1.0), (0.8, 1.2)):
+        model = StationaryModel(lam, Exponential(mu), 1.0)
+        want_cdf = closed_form_mm11_preemptive(lam, mu, x)
+        want_pdf = lam * mu / (lam - mu) * (math.exp(-mu * x) - math.exp(-lam * x))
+        assert aoi_cdf_stationary(model, x) == pytest.approx(want_cdf, abs=1e-7)
+        assert aoi_pdf_stationary(model, x) == pytest.approx(want_pdf, abs=1e-10)
+
+
+FIG7_SERVICES = {"exp": Exponential(1.2), "det": Deterministic(1 / 1.2),
+                 "uni": Uniform(0.0, 2 / 1.2), "gam1": Gamma(1.2, 1 / 1.44),
+                 "gam2": Gamma(1 / 1.2, 1.0), "erlang": Erlang(5, 1 / 6)}
+
+
+@pytest.mark.parametrize("service", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())
+def test_inversion_tail_partial_preemption(service):
+    xs = (20.0, 30.0, 40.0, 60.0, 100.0, 300.0)
+    for lam in (0.4, 0.8, 1.6):
+        model = StationaryModel(lam, service, 0.3)
+        for x in xs:
+            assert aoi_pdf_stationary(model, x) >= -1e-9
+        cdfs = [aoi_cdf_stationary(model, x) for x in xs]
+        assert np.all(np.diff(cdfs) >= 0.0)
+
+
+def test_inversion_flags_roundoff_blowup(monkeypatch):
+    monkeypatch.setattr(stationary, "_EULER_A", 2000.0)
     model = StationaryModel(2.0, Exponential(1.0), 1.0)
     with pytest.raises(InversionError):
-        aoi_cdf_stationary(model, 10.0, inv=InversionSettings(gamma=500.0))
-
-
-def test_inversion_settings_validation():
-    with pytest.raises(ConfigError):
-        InversionSettings(gamma=0.0)
-    with pytest.raises(ConfigError):
-        InversionSettings(terms=5)
+        aoi_cdf_stationary(model, 10.0)
 
 
 # ---------------------------------------------------------------------------
