@@ -1,25 +1,16 @@
 """Composite Gauss-Legendre quadrature with kink splitting.
 
 One primitive, `gauss_panels`, integrates a vectorized f over every panel
-of an edge list with a single call of f on the (panels x 64) node array;
-`composite_gauss` sums it over the segments between breakpoints. Used by
-the stationary convolution path and the negligible-processing mean. The
-Volterra solvers march with the trapezoid rule on equally spaced grids and
-do not go through here.
+of an edge list with a single call of f on the (panels x nodes) array;
+`composite_gauss` sums its 64-node form over the segments between
+breakpoints. The stationary paths and the negligible-processing mean use
+64 nodes, the Volterra solvers' product weights 2 per grid cell.
 """
 
 import numpy as np
 
-_NPTS = 64
-# (nodes, weights) of the 64-node rule, built on the first integral
-_RULE = None
-
-
-def _rule():
-    global _RULE
-    if _RULE is None:
-        _RULE = np.polynomial.legendre.leggauss(_NPTS)
-    return _RULE
+# (nodes, weights) of the Gauss-Legendre rules, each built on first use
+_RULES = {}
 
 
 def split_points(a, b, breakpoints):
@@ -31,11 +22,13 @@ def split_points(a, b, breakpoints):
     return np.array(sorted(set(pts)))
 
 
-def gauss_panels(f, edges):
-    """Integrals of a vectorized f over each panel [edges[k], edges[k+1]],
-    from one call of f on the (panels x 64) node array; row k of that
-    array holds panel k's nodes."""
-    x, w = _rule()
+def gauss_panels(f, edges, npts):
+    """npts-node integrals of a vectorized f over each panel [edges[k],
+    edges[k+1]], from one call of f on the (panels x npts) node array whose
+    row k holds panel k's nodes (f may stack integrands on leading axes)."""
+    if npts not in _RULES:
+        _RULES[npts] = np.polynomial.legendre.leggauss(npts)
+    x, w = _RULES[npts]
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -48,7 +41,7 @@ def composite_gauss(f, a, b, breakpoints=()):
     segment between breakpoints."""
     if b <= a:
         return 0.0
-    return float(np.sum(gauss_panels(f, split_points(a, b, breakpoints))))
+    return float(np.sum(gauss_panels(f, split_points(a, b, breakpoints), 64)))
 
 
 def geometric_ladder(b):

@@ -376,6 +376,10 @@ def _fig7(args):
 
 
 def _fig8(args):
+    unread = [f"--{name}" for name in ("seed", "replications")
+              if getattr(args, name) is not None]
+    if unread:
+        raise ConfigError(f"fig8 runs no simulation and reads no {', '.join(unread)}")
     schedule = ConstraintSchedule(
         times=(0.0, 8.0, 16.0, 24.0, 32.0, 40.0, 48.0, 56.0),
         thresholds=(7.5, 6.5, 4.5, 3.0, 4.5, 6.5, 7.5),

@@ -10,8 +10,8 @@ class ConfigError(ValueError):
 
 
 class UnsupportedServiceError(ConfigError):
-    """A solver path was asked to use a service law it cannot handle
-    (e.g. a density where none exists, or an unbounded density at 0)."""
+    """The density of a service law that has none was needed (theta > 0
+    stationary M(x), Deterministic.pdf); the finite-time solver reads F only."""
 
 
 class ConvergenceError(RuntimeError):

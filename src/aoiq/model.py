@@ -250,7 +250,7 @@ class ServiceDistribution:
 
     kind = "abstract"
     has_density = True
-    # density stays bounded near 0 (required by the time-varying kernel)
+    # density stays bounded near 0 (else the stationary routes split toward 0)
     bounded_density = True
 
     @property
@@ -345,8 +345,7 @@ class Deterministic(ServiceDistribution):
 
 @dataclass(frozen=True)
 class Uniform(ServiceDistribution):
-    """Uniform on [low, high]. low defaults to 0; a narrow band around d
-    approximates a deterministic service for the time-varying solver."""
+    """Uniform on [low, high]. low defaults to 0."""
 
     low: float
     high: float
@@ -375,13 +374,9 @@ class Uniform(ServiceDistribution):
         return out if out.ndim else float(out)
 
     def pdf(self, z):
-        # midpoint convention at the jump points: quadrature rules sampling
-        # a node exactly on the edge stay second-order instead of O(h)
         z = np.asarray(z, dtype=float)
-        d = 1.0 / (self.high - self.low)
-        out = np.where((z > self.low) & (z < self.high), d, 0.0)
-        out = np.where(z == self.high, 0.5 * d, out)
-        out = np.where(z == self.low, d if self.low == 0.0 else 0.5 * d, out)
+        out = np.where((z >= self.low) & (z <= self.high),
+                       1.0 / (self.high - self.low), 0.0)
         return out if out.ndim else float(out)
 
     def lst(self, s):
@@ -431,8 +426,6 @@ class Gamma(ServiceDistribution):
         logpdf = ((self.shape - 1.0) * np.log(zpos / self.scale)
                   - zpos / self.scale - gammaln(self.shape)) - np.log(self.scale)
         out = np.where(z > 0, np.exp(logpdf), 0.0)
-        if self.shape == 1:
-            out = np.where(z == 0, 1.0 / self.scale, out)
         return out if out.ndim else float(out)
 
     def lst(self, s):

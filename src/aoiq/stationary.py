@@ -98,7 +98,7 @@ def _m_theta0(model, s):
     knots = np.unique(np.concatenate([[0.0], s.ravel(), bps]))
     ends = knots[1:, None]
     pieces = gauss_panels(
-        lambda v: model.service.cdf(v) * np.exp(-lam * (ends - v)), knots)
+        lambda v: model.service.cdf(v) * np.exp(-lam * (ends - v)), knots, 64)
     decay = np.exp(-lam * np.diff(knots))
     scale = m_infinity(model) * lam
     m = np.zeros(knots.size)

@@ -1,7 +1,8 @@
 """Finite-time AoI distribution for the time-varying system.
 
 Solves the Volterra equations of the second kind behind Phi(t, x) on
-equally spaced grids with the composite trapezoid rule:
+equally spaced grids, h <= 0.01 for every service law, with weights
+integrated exactly from the service CDF (`_kernels.moments`):
 
 * the idle-probability curve M(t, inf),
 * the completion-flux kernel G_z(t, y, 0) and the joint block M(t, x),
@@ -12,10 +13,10 @@ equally spaced grids with the composite trapezoid rule:
 Plus the negligible-processing closed forms where service time is ~0.
 
 The idle-curve and Phi-hat equations are linear in the unknown at each
-node, so one implicit-trapezoid march solves every node in closed form
-(Linz, Analytical and Numerical Methods for Volterra Equations, SIAM 1985,
-ch. 7). The discrete equation is then evaluated again at the solution and
-a residual above etol raises ConvergenceError.
+node, so one implicit march solves every node in closed form (Linz,
+Analytical and Numerical Methods for Volterra Equations, SIAM 1985, ch. 7).
+The discrete equation is then evaluated again at the solution and a
+residual above etol raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from ._quad import composite_gauss
-from .errors import ConfigError, ConvergenceError, UnsupportedServiceError
+from .errors import ConfigError, ConvergenceError
 from .model import GridFunction, SystemConfig, rate_at
 
 __all__ = [
@@ -43,8 +44,8 @@ class SolverSettings:
 
     horizon: right end T of the idle-curve grid; None lets aoi_cdf_tv use
         its evaluation time t.
-    grid_n: number of steps on [0, T]; None derives n from the step rule
-        h <= min(0.01, mean_service / 20).
+    grid_n: number of steps on [0, T]; None takes the fewest steps with
+        h <= 0.01, whatever the service law.
     etol: bound on the sup-norm residual of the discrete equations.
     """
 
@@ -82,26 +83,13 @@ class IdleProbabilityCurve:
         return self.grid.t1
 
 
-def _default_step(service):
-    return min(0.01, service.mean / 20.0)
+_STEP = 0.01
 
 
-def _grid_count(settings, service, T):
-    if settings is not None and settings.grid_n is not None:
+def _grid_count(settings, T):
+    if settings.grid_n is not None:
         return settings.grid_n
-    step = _default_step(service)
-    return max(2, math.ceil(T / step - 1e-12))
-
-
-def _require_density(service, where):
-    if not service.has_density:
-        raise UnsupportedServiceError(
-            f"{where} needs the service density; {service.kind} has none "
-            "(approximate a deterministic time with a narrow uniform band)")
-    if not service.bounded_density:
-        raise UnsupportedServiceError(
-            f"{where} needs a bounded service density; {service.kind} with "
-            "shape < 1 is unbounded at 0")
+    return max(2, math.ceil(T / _STEP - 1e-12))
 
 
 def _certify(residual, etol, label):
@@ -124,19 +112,19 @@ def solve_idle_prob(config, settings):
     if settings.horizon is None:
         raise ConfigError("solve_idle_prob needs settings.horizon")
     T = settings.horizon
-    n = _grid_count(settings, config.service, T)
+    n = _grid_count(settings, T)
     h = T / n
     ts = np.linspace(0.0, T, n + 1)
     lam = np.asarray(rate_at(config.rate, ts), dtype=float)
     Lam = np.asarray(config.rate.integral(0.0, ts), dtype=float)
     theta = config.theta
-    Fk = np.asarray(config.service.cdf(ts), dtype=float)
+    mom = _kernels.moments(config.service, h, n)
 
     # w_i = e^{-theta Lam_i} + theta S_i[lam F] - (1 - theta) S_i[lam (1 - F) w]
     base = np.exp(-theta * Lam)
     if theta:
-        base += theta * _kernels.history(lam, Fk, Lam, theta, h)
-    w, resid = _kernels.march(base, lam, 1.0 - Fk, Lam, theta, h,
+        base += theta * _kernels.history(lam, mom["F"], Lam, theta)
+    w, resid = _kernels.march(base, lam, mom["1-F"], Lam, theta,
                               alpha=-(1.0 - theta), beta=np.zeros(n + 1))
     _certify(resid, settings.etol, "idle curve")
     grid = GridFunction(0.0, h, np.clip(w, 0.0, 1.0))
@@ -147,41 +135,36 @@ def solve_idle_prob(config, settings):
 # kernel G_z and the joint block M(t, x)
 # ---------------------------------------------------------------------------
 
-def _diagonal_arrays(config, idle, u, x, m):
-    """Shared grids for the diagonal slice r = u + tau, tau in [0, x]."""
-    tau = np.linspace(0.0, x, m + 1)
-    h = x / m
-    r = u + tau
+def _diagonal_arrays(config, idle, u, x):
+    """Shared grids for the diagonal slice r = u + tau, tau in [0, x], on
+    the fewest steps no longer than the idle curve's."""
+    m = max(2, math.ceil(x / idle.grid.h - 1e-12))
+    r = u + np.linspace(0.0, x, m + 1)
     lam = np.asarray(rate_at(config.rate, r), dtype=float)
     Lam = np.asarray(config.rate.integral(u, r), dtype=float)
-    fx = np.asarray(config.service.pdf(tau), dtype=float)
-    Fx = np.asarray(config.service.cdf(tau), dtype=float)
     c = lam * (config.theta + (1.0 - config.theta) * np.asarray(idle(r), dtype=float))
-    return h, lam, Lam, fx, Fx, c
+    return x / m, lam, Lam, c, _kernels.moments(config.service, x / m, m)
 
 
 def kernel_gz(config, idle, t, y):
     """G_z(t, y, 0): completion flux of informative packets with age <= y.
 
-    Trapezoid evaluation of
-    int_{t-y}^{t} lambda(r) (theta + (1-theta) M(r, inf)) f(t-r)
-        exp(-theta int_r^t lambda) dr.
+    Product-integration evaluation of int_{z in (0, y]} lambda(t-z)
+    (theta + (1-theta) M(t-z, inf)) exp(-theta int_{t-z}^t lambda) dF(z).
     """
     if y < 0 or t < y:
         raise ValueError(f"kernel_gz needs t >= y >= 0, got t={t}, y={y}")
-    _require_density(config.service, "kernel_gz")
     if y == 0:
         return 0.0
-    m = max(2, math.ceil(y / _default_step(config.service) - 1e-12))
-    h, _, Lam, fx, _, c = _diagonal_arrays(config, idle, t - y, y, m)
-    gz = _kernels.history(c, fx, Lam, config.theta, h)
-    return max(float(gz[m]), 0.0)
+    _, _, Lam, c, mom = _diagonal_arrays(config, idle, t - y, y)
+    gz = _kernels.history(c, mom["dF"], Lam, config.theta)
+    return max(float(gz[-1]), 0.0)
 
 
-def _joint_block(config, h, Lam, fx, c):
+def _joint_block(config, Lam, c, mom):
     """G_z and M(., x) at the diagonal nodes."""
-    gz = _kernels.history(c, fx, Lam, config.theta, h)
-    return _kernels.history(gz, np.ones(Lam.size), Lam, 1.0, h)
+    gz = _kernels.history(c, mom["dF"], Lam, config.theta)
+    return _kernels.history(gz, mom["1"], Lam, 1.0)
 
 
 def m_tx(config, idle, t, x):
@@ -196,11 +179,9 @@ def m_tx(config, idle, t, x):
         return float(idle(t))
     if x == 0:
         return 0.0
-    _require_density(config.service, "m_tx")
-    m = max(2, math.ceil(x / _default_step(config.service) - 1e-12))
-    h, _, Lam, fx, _, c = _diagonal_arrays(config, idle, t - x, x, m)
-    mx = _joint_block(config, h, Lam, fx, c)
-    return float(min(max(mx[m], 0.0), 1.0))
+    _, _, Lam, c, mom = _diagonal_arrays(config, idle, t - x, x)
+    mx = _joint_block(config, Lam, c, mom)
+    return float(min(max(mx[-1], 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +199,7 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     (t, x) queries via `idle`.
 
     Raises ConfigError when the grid is too coarse for the implicit step:
-    h * lambda_max * theta * (1 - F(0)) must stay below 1.
+    h * lambda_max * theta must stay below 1.
     """
     if t < 0 or x < 0:
         raise ValueError(f"aoi_cdf_tv needs t, x >= 0, got t={t}, x={x}")
@@ -226,7 +207,6 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
         return 1.0
     if x == 0:
         return 0.0
-    _require_density(config.service, "aoi_cdf_tv")
     if settings is None:
         settings = SolverSettings()
     if settings.horizon is not None and settings.horizon < t:
@@ -243,25 +223,24 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
 
     u = t - x
     theta = config.theta
-    m = max(2, math.ceil(x / idle.grid.h - 1e-12))
-    h, lam, Lam, fx, Fx, c = _diagonal_arrays(config, idle, u, x, m)
+    h, lam, Lam, c, mom = _diagonal_arrays(config, idle, u, x)
 
-    # the march divides by 1 - h/2 lambda_i theta (1 - F(0)); keeping that
-    # above 1/2 bounds the error amplification of each step by 2
-    stiffness = config.rate.max_rate(u, t) * theta * (1.0 - Fx[0])
+    # the march divides by 1 - omega_0 lambda_i theta with omega_0 <= h/2;
+    # keeping that above 1/2 bounds the error amplification of each step by 2
+    stiffness = config.rate.max_rate(u, t) * theta
     if h * stiffness >= 1.0:
         h_max = 1.0 / stiffness
         raise ConfigError(
             f"Phi(t={t}, x={x}): step h={h:.4g} is too coarse for the implicit "
-            f"trapezoid step, which needs h < {h_max:.4g}; use grid_n >= "
+            f"step, which needs h < {h_max:.4g}; use grid_n >= "
             f"{math.floor(idle.horizon / h_max) + 1} on horizon {idle.horizon:g}")
 
     # Phi-hat_i = M_i + S_i[lam (1 - F) (theta Phi-hat + (1 - theta) M)]
-    mx = _joint_block(config, h, Lam, fx, c)
-    w, resid = _kernels.march(mx, lam, 1.0 - Fx, Lam, theta, h,
+    mx = _joint_block(config, Lam, c, mom)
+    w, resid = _kernels.march(mx, lam, mom["1-F"], Lam, theta,
                               alpha=theta, beta=(1.0 - theta) * mx)
     _certify(resid, settings.etol, f"Phi(t={t}, x={x})")
-    return float(min(max(w[m], 0.0), 1.0))
+    return float(min(max(w[-1], 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------

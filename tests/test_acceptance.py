@@ -125,7 +125,7 @@ def test_criterion_07_near_zero_service_limit():
     want = np.array([-math.expm1(-x) for x in xs])
     emp = empirical_cdf(SimRequest(cfg, 10.0, 100_000, seed=11), xs)
     sim_err = float(np.max(np.abs(emp - want)))
-    settings = SolverSettings(horizon=10.0, grid_n=40_000)
+    settings = SolverSettings(horizon=10.0)
     idle = solve_idle_prob(cfg, settings)
     tv_err = max(abs(aoi_cdf_tv(cfg, 10.0, float(x), settings=settings, idle=idle)
                      - w) for x, w in zip(xs, want))

@@ -216,6 +216,17 @@ def test_flag_not_read_by_command_is_rejected(tmp_path, capsys, argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--replications"])
+def test_fig8_rejects_simulation_flags(capsys, flag):
+    # the fig8 preset only optimizes; a seed or replication count would
+    # be silently ignored
+    rc, out, err = run(capsys, ["reproduce-figure", "--figure", "fig8",
+                                flag, "3"])
+    assert rc == 2 and out == ""
+    record = expect_error_record(err)
+    assert record["error"] == "ConfigError" and flag in record["message"]
+
+
 def test_unknown_figure_id_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce-figure", "--figure", "fig99"])

@@ -5,12 +5,12 @@ import pytest
 
 from aoiq import _kernels
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Exponential,
-                  Deterministic, Gamma, Erlang, SystemConfig,
+                  Deterministic, Uniform, Gamma, Erlang, SystemConfig,
                   SolverSettings, solve_idle_prob, kernel_gz, m_tx,
                   aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
                   StationaryModel, m_infinity, m_x_stationary, closed_form_mm11,
-                  closed_form_mm11_preemptive, ConfigError,
-                  ConvergenceError, UnsupportedServiceError)
+                  closed_form_md11, closed_form_mm11_preemptive,
+                  aoi_cdf_stationary, ConfigError, ConvergenceError)
 
 MM_CFG = SystemConfig(Constant(0.8), Exponential(1.2), 0.0)
 
@@ -37,13 +37,41 @@ def test_idle_requires_horizon():
         solve_idle_prob(MM_CFG, SolverSettings())
 
 
-def test_density_required():
-    det = SystemConfig(Constant(1.0), Deterministic(1.0), 0.5)
-    with pytest.raises(UnsupportedServiceError):
-        aoi_cdf_tv(det, 5.0, 2.0)
-    heavy = SystemConfig(Constant(1.0), Gamma(0.8, 1.0), 0.5)
-    with pytest.raises(UnsupportedServiceError):
-        aoi_cdf_tv(heavy, 5.0, 2.0)
+STEADY_XS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+
+
+def _steady_error(service, theta, want):
+    """Max |Phi(30, x) - want(x)| at lambda = 0.8 on the default grid, where
+    the constant-rate system has reached its stationary law."""
+    cfg = SystemConfig(Constant(0.8), service, theta)
+    idle = idle_for(cfg, 30.0)
+    return max(abs(aoi_cdf_tv(cfg, 30.0, x, idle=idle) - want(x))
+               for x in STEADY_XS)
+
+
+def _stationary(service, theta):
+    model = StationaryModel(0.8, service, theta)
+    return lambda x: aoi_cdf_stationary(model, x)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_cdf_accepts_service_without_bounded_density(theta):
+    # the product weights read only F: a service atom (G_z jumps at age d,
+    # so first order) and an unbounded density at 0 need no special case
+    det = Deterministic(1 / 1.2)
+    want = ((lambda x: closed_form_md11(0.8, 1.2, x)) if theta == 0.0
+            else _stationary(det, theta))
+    assert _steady_error(det, theta, want) <= 2e-3
+    gam = Gamma(1 / 1.2, 1.0)
+    assert _steady_error(gam, theta, _stationary(gam, theta)) <= 5e-5
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6])
+def test_cdf_uniform_service_second_order_at_default_step(theta):
+    # the density jump at 4/3 falls inside a cell, where a kernel sampled
+    # at the nodes is only first order
+    svc = Uniform(0.0, 4 / 3)
+    assert _steady_error(svc, theta, _stationary(svc, theta)) <= 5e-5
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +240,9 @@ def test_block_march_matches_per_node_march(monkeypatch, alpha):
     base, c, beta = rng.uniform(0.0, 1.0, (3, n))
     k = np.exp(-np.arange(n) * h)
     Lam = np.cumsum(rng.uniform(0.0, 2.0 * h, n))
-    w, resid = _kernels.march(base, c, k, Lam, 0.6, h, alpha, beta)
+    omega = h * k
+    omega[0] *= 0.5
+    w, resid = _kernels.march(base, c, (omega, h * k / 2), Lam, 0.6, alpha, beta)
     want = _per_node_march(base, c, k, Lam, 0.6, h, alpha, beta)
     assert np.max(np.abs(w - want)) <= 1e-13
     assert resid <= 1e-14
