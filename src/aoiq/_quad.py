@@ -45,6 +45,6 @@ def composite_gauss(f, a, b, breakpoints=()):
 
 
 def geometric_ladder(b):
-    """Extra split points clustered toward 0 for integrable endpoint
-    singularities (Gamma shape < 1)."""
+    """Extra split points in (0, b) clustered toward 0, where an integrand
+    may be non-smooth (F(v) ~ v^shape for Gamma service)."""
     return tuple(b * u for u in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1))

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, InversionError, UnsupportedServiceError
+from .errors import ConfigError, ConvergenceError, InversionError
 from .model import (Constant, Sinusoid, PiecewiseConstant, Exponential,
                     Deterministic, Uniform, Gamma, Erlang, SystemConfig,
                     config_from_dict, service_from_dict)
@@ -478,7 +478,7 @@ def main(argv=None):
     except InversionError as exc:
         _error_record(exc, diagnostics=exc.diagnostics)
         return EXIT_NUMERIC
-    except (ConfigError, UnsupportedServiceError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         _error_record(exc)
         return EXIT_CONFIG
     return EXIT_OK

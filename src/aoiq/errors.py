@@ -10,8 +10,8 @@ class ConfigError(ValueError):
 
 
 class UnsupportedServiceError(ConfigError):
-    """The density of a service law that has none was needed (theta > 0
-    stationary M(x), Deterministic.pdf); the finite-time solver reads F only."""
+    """The density of a service law that has none was asked for
+    (Deterministic.pdf); no solver reads a density."""
 
 
 class ConvergenceError(RuntimeError):

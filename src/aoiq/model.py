@@ -246,12 +246,10 @@ class Tabulated(RateProfile):
 
 class ServiceDistribution:
     """Processing-time law: CDF F, density f (where it exists), LST
-    F~(s) = E[e^{-sS}], mean, and a sampler."""
+    F~(s) = E[e^{-sS}], mean, and a sampler. The solvers read F and the
+    LST only; f serves as a reference."""
 
     kind = "abstract"
-    has_density = True
-    # density stays bounded near 0 (else the stationary routes split toward 0)
-    bounded_density = True
 
     @property
     def mean(self):
@@ -272,10 +270,6 @@ class ServiceDistribution:
     def breakpoints(self):
         """Points where F or f is not smooth, for quadrature splitting."""
         return ()
-
-    def _no_density(self):
-        raise UnsupportedServiceError(
-            f"{self.kind} service has no density; this operation needs f")
 
 
 @dataclass(frozen=True)
@@ -312,8 +306,6 @@ class Exponential(ServiceDistribution):
 class Deterministic(ServiceDistribution):
     d: float
     kind = "deterministic"
-    has_density = False
-    bounded_density = False
 
     def __post_init__(self):
         if self.d <= 0:
@@ -329,7 +321,7 @@ class Deterministic(ServiceDistribution):
         return out if out.ndim else float(out)
 
     def pdf(self, z):
-        self._no_density()
+        raise UnsupportedServiceError("deterministic service has no density")
 
     def lst(self, s):
         return np.exp(-self.d * s)
@@ -407,8 +399,6 @@ class Gamma(ServiceDistribution):
         if self.shape <= 0 or self.scale <= 0:
             raise ConfigError(
                 f"gamma needs shape > 0 and scale > 0, got ({self.shape}, {self.scale})")
-        # shape < 1 has an unbounded density at 0+
-        object.__setattr__(self, "bounded_density", self.shape >= 1)
 
     @property
     def mean(self):
@@ -581,7 +571,7 @@ def config_from_dict(doc):
     if "rate" not in doc or "service" not in doc or "theta" not in doc:
         raise ConfigError("config needs 'rate', 'service' and 'theta' keys")
     theta = doc["theta"]
-    if not isinstance(theta, (int, float)):
+    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
         raise ConfigError(f"theta must be a number, got {theta!r}")
     return SystemConfig(rate=rate_from_dict(doc["rate"]),
                         service=service_from_dict(doc["service"]),

@@ -1,19 +1,20 @@
 """Steady-state AoI distribution for constant arrival rate.
 
-Two routes, deliberately independent of the time-varying solver:
+Two routes, deliberately independent of the time-varying solver, and
+neither reads a service density:
 
 * theta > 0: the AoI Laplace-Stieltjes transform (evaluated in cancelled
   form, so s=0 is regular) inverted numerically with Euler-summation
   acceleration of the Bromwich series.
-* theta = 0: the explicit convolution representation
-  Phi(x) = M(x) + lambda * int_0^x M(s) (1 - F(x-s)) ds,
-  which needs only the CDF and therefore covers deterministic service too.
-  M(s) comes from one recursion over sorted knots (0, the service
-  breakpoints and every point asked for),
-  M(b) = M(a) e^{-lambda (b-a)} + M(inf) lambda int_a^b F(v) e^{-lambda (b-v)} dv,
-  with all piece integrals from one call of the Gauss panel rule; the CDF,
-  the PDF and M(x) itself share it, so each convolution evaluates M at all
-  of its quadrature nodes in one pass.
+* theta = 0: the convolution
+  T[g](x) = g(x) + lambda int_0^x g(s) (1 - F(x-s)) ds
+  gives the CDF as T[M] and the PDF as T[M'], M' = lambda (M(inf) F - M)
+  (T commutes with d/dx because M(0) = 0).
+
+M(x) = P(idle, AoI <= x), for every theta, comes from one march over
+sorted knots (0, the service breakpoints and every point asked for) with
+all piece integrals of F from one call of the Gauss panel rule, so each
+convolution evaluates M at all of its quadrature nodes in one pass.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import composite_gauss, gauss_panels, geometric_ladder
-from .errors import ConfigError, InversionError, UnsupportedServiceError
+from .errors import ConfigError, InversionError
 
 __all__ = [
     "StationaryModel",
@@ -86,51 +87,44 @@ def m_infinity(model):
     return th * fl / (1.0 - (1.0 - th) * fl)
 
 
-def _m_theta0(model, s):
-    """theta=0 M at points s of any order and shape, marched over the knots
-    {0, max(s, 0), service breakpoints below max s}:
-    M(b) = M(a) e^{-lam (b-a)} + M(inf) lam int_a^b F(v) e^{-lam (b-v)} dv,
-    with every piece integral from one panel call."""
-    lam = model.lam
+def _m(model, s):
+    """M at points s of any order and shape, marched over the knots
+    {0, max(s, 0), service breakpoints below max s}. Integrating the density
+    form by parts leaves only F:
+        M(x) = c lam int_0^x F(v) e^{-lam theta v}
+                             (theta + (1-theta) e^{-lam (x-v)}) dv,
+    c = theta + (1-theta) M(inf). The theta part is a cumsum of piece
+    integrals; the other part is marched as
+        B(b) = B(a) e^{-lam (b-a)}
+               + int_a^b F(v) e^{-lam theta v} e^{-lam (b-v)} dv,
+    with both piece integrals from one panel call."""
+    lam, th = model.lam, model.theta
     s = np.maximum(np.asarray(s, dtype=float), 0.0)
     top = float(np.max(s, initial=0.0))
     bps = [b for b in model.service.breakpoints() if b < top]
     knots = np.unique(np.concatenate([[0.0], s.ravel(), bps]))
     ends = knots[1:, None]
-    pieces = gauss_panels(
-        lambda v: model.service.cdf(v) * np.exp(-lam * (ends - v)), knots, 64)
+
+    def integrands(v):
+        weighted = model.service.cdf(v) * np.exp(-lam * th * v)
+        return np.stack([weighted, weighted * np.exp(-lam * (ends - v))])
+
+    flat, pieces = gauss_panels(integrands, knots, 64)
     decay = np.exp(-lam * np.diff(knots))
-    scale = m_infinity(model) * lam
+    scale = (th + (1.0 - th) * m_infinity(model)) * lam
     m = np.zeros(knots.size)
     for k in range(pieces.size):
-        m[k + 1] = m[k] * decay[k] + scale * pieces[k]
+        m[k + 1] = m[k] * decay[k] + scale * (1.0 - th) * pieces[k]
+    m[1:] += scale * th * np.cumsum(flat)
     return m[np.searchsorted(knots, s)]
 
 
 def m_x_stationary(model, x):
-    """Stationary M(x) = P(idle, AoI <= x)."""
+    """Stationary M(x) = P(idle, AoI <= x) for every theta and service law;
+    the march is graded toward 0, where F(v) may behave like v^shape."""
     if x <= 0:
         return 0.0
-    lam, th = model.lam, model.theta
-    if th == 0.0:
-        return float(min(max(_m_theta0(model, x), 0.0), 1.0))
-
-    if not model.service.has_density:
-        raise UnsupportedServiceError(
-            "m_x_stationary with theta > 0 needs the service density; "
-            f"{model.service.kind} has none")
-
-    coeff = th + (1.0 - th) * m_infinity(model)
-
-    def integrand(s):
-        return np.asarray(model.service.pdf(s)) * (
-            np.exp(-lam * th * s) - np.exp(lam * (s - th * s - x)))
-
-    splits = [b for b in model.service.breakpoints() if 0.0 < b < x]
-    if not model.service.bounded_density:
-        # f is singular at 0
-        splits.extend(geometric_ladder(x))
-    val = coeff * composite_gauss(integrand, 0.0, x, splits)
+    val = _m(model, [*geometric_ladder(x), x])[-1]
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -197,58 +191,42 @@ def _euler_invert(fhat, x):
 # CDF / PDF
 # ---------------------------------------------------------------------------
 
-def _m_convolution(model, x, kernel, ladder):
-    """lam int_0^x M(s) K(x-s) ds at theta = 0. The integrand kinks at each
-    service breakpoint b (through M) and at x - b (through K); `ladder`
-    adds split points toward s = x where K is singular."""
+def _convolve(model, x, g):
+    """T[g](x) = g(x) + lam int_0^x g(s) (1 - F(x-s)) ds at theta = 0, for
+    g(model, s) = M or M'. The integrand kinks at each service breakpoint b
+    (through g) and at x - b (through F)."""
     bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
-    splits = bps + [x - b for b in bps]
-    if ladder:
-        splits += [x - u for u in geometric_ladder(x)]
-    return model.lam * composite_gauss(
-        lambda s: _m_theta0(model, s) * kernel(x - s), 0.0, x, splits)
+    return float(g(model, x)) + model.lam * composite_gauss(
+        lambda s: g(model, s) * (1.0 - model.service.cdf(x - s)), 0.0, x,
+        bps + [x - b for b in bps])
 
 
-def _cdf_theta0(model, x):
-    """Phi(x) = M(x) + lam int_0^x M(s) (1 - F(x-s)) ds."""
-    return float(_m_theta0(model, x)) + _m_convolution(
-        model, x, lambda z: 1.0 - model.service.cdf(z), ladder=False)
-
-
-def _pdf_theta0(model, x):
-    """Derivative of the convolution form:
-    phi(x) = M(inf) lam F(x) - lam int_0^x M(s) dF(x-s)."""
-    service = model.service
-    lead = m_infinity(model) * model.lam * float(service.cdf(x))
-    if not service.has_density:
-        # deterministic atom at d: the Stieltjes convolution collapses
-        d = service.breakpoints()[0]
-        return lead - model.lam * float(_m_theta0(model, x - d))
-    return lead - _m_convolution(model, x, service.pdf,
-                                 ladder=not service.bounded_density)
+def _m_prime(model, s):
+    """dM/dx = lam (M(inf) F - M) at theta = 0."""
+    return model.lam * (m_infinity(model) * model.service.cdf(s) - _m(model, s))
 
 
 def aoi_cdf_stationary(model, x):
-    """P(AoI <= x) in steady state. theta = 0 goes through the convolution
-    quadrature (deterministic service allowed); theta > 0 inverts
-    Phi~(s)/s."""
+    """P(AoI <= x) in steady state: T[M] at theta = 0, the inversion of
+    Phi~(s)/s for theta > 0."""
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        val = _cdf_theta0(model, x)
+        val = _convolve(model, x, _m)
     else:
         val = _euler_invert(lambda s: aoi_lst(model, s) / s, x)
     return min(max(val, 0.0), 1.0)
 
 
 def aoi_pdf_stationary(model, x):
-    """AoI density in steady state (inversion of Phi~(s) for theta > 0).
-    Known to lose accuracy near x = 0 when the true density does not
-    vanish there; the CDF route is the primary contract."""
+    """AoI density in steady state: T[M'] at theta = 0, the inversion of
+    Phi~(s) for theta > 0. The inversion is known to lose accuracy near
+    x = 0 when the true density does not vanish there; the CDF route is the
+    primary contract."""
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        return _pdf_theta0(model, x)
+        return _convolve(model, x, _m_prime)
     return _euler_invert(lambda s: aoi_lst(model, s), x)
 
 

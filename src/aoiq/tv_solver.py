@@ -22,6 +22,7 @@ residual above etol raises ConvergenceError.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,11 @@ class SolverSettings:
     def __post_init__(self):
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
-        if self.grid_n is not None and self.grid_n < 2:
-            raise ConfigError(f"grid_n must be >= 2, got {self.grid_n}")
+        if self.grid_n is not None and (
+                isinstance(self.grid_n, bool)
+                or not isinstance(self.grid_n, numbers.Integral)
+                or self.grid_n < 2):
+            raise ConfigError(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
         if self.etol <= 0:
             raise ConfigError(f"etol must be > 0, got {self.etol}")
 

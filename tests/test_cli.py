@@ -161,6 +161,23 @@ def test_unknown_service_kind(tmp_path, capsys):
     expect_error_record(err)
 
 
+@pytest.mark.parametrize("grid_n", ["500", 500.5])
+def test_non_integer_grid_n_is_a_config_error(tmp_path, capsys, grid_n):
+    doc = dict(MM_DOC, solve_tv={"t": 2.0, "xs": [1.0], "grid_n": grid_n})
+    cfg = write_cfg(tmp_path, doc)
+    rc, out, err = run(capsys, ["solve-tv", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert expect_error_record(err)["error"] == "ConfigError"
+
+
+def test_bool_theta_is_a_config_error(tmp_path, capsys):
+    doc = dict(MM_DOC, theta=True, solve_stationary={"xs": [1.0]})
+    cfg = write_cfg(tmp_path, doc)
+    rc, out, err = run(capsys, ["solve-stationary", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert expect_error_record(err)["error"] == "ConfigError"
+
+
 def test_convergence_budget_maps_to_numeric_exit(tmp_path, capsys):
     # etol below the rounding floor: the residual certificate must fail
     doc = {"rate": {"kind": "constant", "a": 2.0},

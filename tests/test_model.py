@@ -176,12 +176,6 @@ def test_uniform_lst_small_argument_stable():
         assert complex(u.lst(s)).real == pytest.approx(exact, rel=1e-10)
 
 
-def test_gamma_density_boundedness_flag():
-    assert Gamma(1.2, 1.0).bounded_density
-    assert not Gamma(0.8, 1.0).bounded_density
-    assert Erlang(5, 1 / 6).bounded_density
-
-
 def test_erlang_mean():
     assert Erlang(5, 1 / 6).mean == pytest.approx(5 / 6)
 
@@ -267,3 +261,10 @@ def test_config_rejects_unknown_kind_and_params():
     with pytest.raises(ConfigError):
         config_from_dict({"rate": {"kind": "constant", "a": 1.0},
                           "service": {"kind": "exponential", "mu": 1.0}})
+
+
+def test_config_rejects_bool_theta():
+    with pytest.raises(ConfigError):
+        config_from_dict({"rate": {"kind": "constant", "a": 1.0},
+                          "service": {"kind": "exponential", "mu": 1.0},
+                          "theta": True})

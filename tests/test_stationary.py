@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammainc
 
 from aoiq import stationary
 from aoiq import (Exponential, Deterministic, Uniform, Gamma, Erlang,
@@ -118,15 +119,33 @@ def test_m_x_no_preemption_exponential_closed_form():
         assert m_x_stationary(model, x) == pytest.approx(want, abs=1e-12)
 
 
-def test_m_x_no_preemption_deterministic_kink():
-    # M(x) = M(inf) (1 - e^{-lam (x - d)}) past the service atom, 0 before:
-    # the M recursion must place a knot at d
+@pytest.mark.parametrize("theta", [0.0, 0.3, 1.0])
+def test_m_x_deterministic_closed_form(theta):
+    # M(x) = c e^{-lam theta d} (1 - e^{-lam (x - d)}) past the service atom,
+    # 0 before, c = theta + (1 - theta) M(inf): the march must place a knot at d
     lam, d = 0.8, 1 / 1.2
-    model = StationaryModel(lam, Deterministic(d), 0.0)
-    minf = m_infinity(model)
-    for x in (0.4, d, 1.0, 1.5, 4.0, 20.0):
-        want = minf * -math.expm1(-lam * (x - d)) if x > d else 0.0
+    model = StationaryModel(lam, Deterministic(d), theta)
+    c = theta + (1.0 - theta) * m_infinity(model)
+    for x in (0.4, d, 1.0, 1.5, 4.0, 20.0, 60.0, 100.0):
+        want = (c * math.exp(-lam * theta * d) * -math.expm1(-lam * (x - d))
+                if x > d else 0.0)
         assert m_x_stationary(model, x) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("svc", [Gamma(1.2, 1 / 1.44), Erlang(5, 1 / 6)],
+                         ids=["gamma", "erlang"])
+@pytest.mark.parametrize("theta", [0.3, 1.0])
+@pytest.mark.parametrize("lam", [0.4, 1.6])
+def test_m_x_with_preemption_matches_density_form(svc, theta, lam):
+    # M(x) = c int_0^x f(z) (e^{-lam theta z} - e^{-lam theta z - lam (x-z)}) dz
+    model = StationaryModel(lam, svc, theta)
+    c = theta + (1.0 - theta) * m_infinity(model)
+    for x in (0.5, 2.0, 20.0, 100.0):
+        want, _ = integrate.quad(
+            lambda z: c * svc.pdf(z) * (math.exp(-lam * theta * z)
+                                        - math.exp(-lam * theta * z - lam * (x - z))),
+            0.0, x, points=[min(1.0, x / 2)], limit=400, epsabs=1e-14, epsrel=1e-13)
+        assert m_x_stationary(model, x) == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("svc,tol", [
@@ -281,22 +300,35 @@ def test_pdf_deterministic_service_atom_term():
     assert minf == pytest.approx(1.0 / (1.0 + lam * d), abs=1e-15)
 
 
-def test_pdf_heavy_tail_gamma_matches_quadrature():
-    # shape < 1 has an unbounded service density at 0; the convolution
-    # still has to come out right
-    lam = 0.8
-    svc = Gamma(0.8, 1.0)
-    model = StationaryModel(lam, svc, 0.0)
-    minf = m_infinity(model)
+@pytest.mark.parametrize("svc", [Gamma(0.8, 1.0), Gamma(1.2, 1 / 1.44)],
+                         ids=["shape0.8", "shape1.2"])
+def test_pdf_heavy_tail_gamma_matches_quadrature(svc):
+    # F(v) ~ v^shape at 0 is not smooth; the PDF T[M'] still has to come
+    # out right. Reference: M' in closed form (lam < 1/scale),
+    # M'(s) = lam M(inf) e^{-lam s} (1 - lam scale)^{-shape} P(shape, s (1/scale - lam)),
+    # and the convolution by quad
+    k, sc = svc.shape, svc.scale
+    for lam in (0.4, 0.8):
+        model = StationaryModel(lam, svc, 0.0)
+        minf = m_infinity(model)
 
-    def m_of(s):
-        return m_x_stationary(model, s)
+        def m_prime(s):
+            return (lam * minf * math.exp(-lam * s) * (1.0 - lam * sc) ** -k
+                    * gammainc(k, s * (1.0 / sc - lam)))
 
-    for x in (0.5, 1.5):
-        tail, _ = integrate.quad(lambda s: m_of(s) * svc.pdf(x - s), 0.0, x,
-                                 points=[x - 1e-6, x - 1e-3], limit=300)
-        want = lam * (minf * svc.cdf(x) - tail)
-        assert aoi_pdf_stationary(model, x) == pytest.approx(want, abs=1e-4)
+        for x in (0.5, 1.5, 10.0, 40.0):
+            conv, _ = integrate.quad(
+                lambda s: m_prime(s) * (1.0 - svc.cdf(x - s)), 0.0, x,
+                points=[x - 1e-6, x - 1e-3, max(x - 1.0, x / 2)], limit=400,
+                epsabs=1e-13, epsrel=1e-12)
+            want = m_prime(x) + lam * conv
+            assert aoi_pdf_stationary(model, x) == pytest.approx(want, abs=5e-8)
+
+
+def test_pdf_gamma_tail_stays_nonnegative():
+    model = StationaryModel(1.6, Gamma(1.2, 1 / 1.44), 0.0)
+    for x in (10.0, 20.0, 40.0, 60.0, 100.0):
+        assert aoi_pdf_stationary(model, x) >= -1e-9
 
 
 def test_model_validation():

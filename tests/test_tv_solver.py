@@ -30,6 +30,9 @@ def test_settings_validation():
         SolverSettings(grid_n=1)
     with pytest.raises(ConfigError):
         SolverSettings(etol=0.0)
+    for grid_n in ("500", 500.5, 500.0, True):
+        with pytest.raises(ConfigError):
+            SolverSettings(grid_n=grid_n)
 
 
 def test_idle_requires_horizon():
