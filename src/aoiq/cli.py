@@ -119,6 +119,12 @@ def _optimizer_settings(args, **kwargs):
     return OptimizerSettings(**kwargs)
 
 
+def _sim_budget(args, reps, seed):
+    """(replications, seed): --replications / --seed over the defaults."""
+    return (args.replications if args.replications is not None else reps,
+            args.seed if args.seed is not None else seed)
+
+
 # ---------------------------------------------------------------------------
 # Output
 # ---------------------------------------------------------------------------
@@ -188,9 +194,7 @@ def _cmd_simulate(args):
     sec = _section(cfg, "simulate")
     t = float(_require(sec, "t", "simulate"))
     xs = _floats(_require(sec, "xs", "simulate"), "simulate.xs")
-    reps = args.replications if args.replications is not None \
-        else int(sec.get("replications", 20000))
-    seed = args.seed if args.seed is not None else int(sec.get("seed", 0))
+    reps, seed = _sim_budget(args, sec.get("replications", 20000), sec.get("seed", 0))
     request = SimRequest(system, t, reps, seed)
     emp = empirical_cdf(request, xs)
     rows = [(x, float(p), reps, seed) for x, p in zip(xs, emp)]
@@ -252,61 +256,52 @@ def _fig2_services():
             ("erlang", Erlang(5, 1.0 / (5 * mu)))]
 
 
-def _series_rows(rate, services, theta, t, xs, args, default_reps, seed0):
-    """analytic + simulated CDF rows (series, x, analytic, simulated)."""
-    reps = args.replications if args.replications is not None else default_reps
-    seed = args.seed if args.seed is not None else seed0
-    rows = []
-    for name, svc in services:
-        system = SystemConfig(rate, svc, theta)
-        settings = _solver_settings(args, {}, horizon=t)
-        idle = solve_idle_prob(system, settings)
-        analytic = [aoi_cdf_tv(system, t, x, settings=settings, idle=idle)
-                    for x in xs]
-        emp = empirical_cdf(SimRequest(system, t, reps, seed), xs)
-        rows.extend((name, float(x), a, float(e))
-                    for x, a, e in zip(xs, analytic, emp))
-    return rows
+def _phi_and_sim(args, system, ts, xs, reps, seed):
+    """Phi(t, x) and the empirical CDF, each of shape (len(ts), len(xs)),
+    from one idle solve on [0, ts[-1]] and one simulation request per t
+    (the i-th time uses seed + 1000 i)."""
+    reps, seed = _sim_budget(args, reps, seed)
+    settings = _solver_settings(args, {}, horizon=float(ts[-1]))
+    idle = solve_idle_prob(system, settings)
+    phi = [[aoi_cdf_tv(system, float(t), float(x), settings=settings, idle=idle)
+            for x in xs] for t in ts]
+    emp = [empirical_cdf(SimRequest(system, float(t), reps, seed + 1000 * i), xs)
+           for i, t in enumerate(ts)]
+    return np.array(phi), np.array(emp)
 
 
 def _fig2(args, t):
     rate = Sinusoid(1.7, 1.0, 1.8)
     xs = np.linspace(0.15 * t / 3.0, t, 20)
-    rows = _series_rows(rate, _fig2_services(), 0.6, t, xs, args,
-                        default_reps=20000, seed0=1207)
+    rows = []
+    for name, svc in _fig2_services():
+        phi, emp = _phi_and_sim(args, SystemConfig(rate, svc, 0.6), [t], xs,
+                                reps=20000, seed=1207)
+        rows.extend((name, float(x), float(a), float(e))
+                    for x, a, e in zip(xs, phi[0], emp[0]))
     return {"command": "reproduce-figure",
             "figure": "fig2a" if t == 3.0 else "fig2b",
             "columns": ["series", "x", "analytic", "simulated"], "rows": rows}
 
 
-def _time_sweep_rows(rate, service, theta, xs_series, ts, args,
-                     default_reps, seed0, prefix=""):
-    """Phi(t, x) over t for each threshold x, with per-point simulation."""
-    reps = args.replications if args.replications is not None else default_reps
-    seed = args.seed if args.seed is not None else seed0
-    system = SystemConfig(rate, service, theta)
-    settings = _solver_settings(args, {}, horizon=float(ts[-1]))
-    idle = solve_idle_prob(system, settings)
+def _time_sweep(args, figure, systems, xs, reps, seed):
+    """Phi(t, x) against t in [0.5, 20] for each threshold x of each
+    (series prefix, system)."""
+    ts = np.arange(0.5, 20.0 + 1e-9, 0.5)
     rows = []
-    for x in xs_series:
-        name = f"{prefix}x{x:g}"
-        for i, t in enumerate(ts):
-            analytic = aoi_cdf_tv(system, float(t), float(x),
-                                  settings=settings, idle=idle)
-            emp = empirical_cdf(SimRequest(system, float(t), reps,
-                                           seed + 1000 * i), [x])
-            rows.append((name, float(t), analytic, float(emp[0])))
-    return rows
+    for prefix, system in systems:
+        phi, emp = _phi_and_sim(args, system, ts, xs, reps, seed)
+        rows.extend((f"{prefix}x{x:g}", float(t), float(phi[i, j]), float(emp[i, j]))
+                    for j, x in enumerate(xs) for i, t in enumerate(ts))
+    return {"command": "reproduce-figure", "figure": figure,
+            "columns": ["series", "t", "analytic", "simulated"], "rows": rows}
 
 
 def _fig4(args, variant):
     rate = Sinusoid(1.8, 1.0, 0.8) if variant == "a" else Constant(1.8)
-    ts = np.arange(0.5, 20.0 + 1e-9, 0.5)
-    rows = _time_sweep_rows(rate, Exponential(1.5), 0.2,
-                            (0.5, 1.5, 2.5, 3.5), ts, args,
-                            default_reps=1000, seed0=408)
-    return {"command": "reproduce-figure", "figure": f"fig4{variant}",
-            "columns": ["series", "t", "analytic", "simulated"], "rows": rows}
+    return _time_sweep(args, f"fig4{variant}",
+                       [("", SystemConfig(rate, Exponential(1.5), 0.2))],
+                       (0.5, 1.5, 2.5, 3.5), reps=1000, seed=408)
 
 
 def _fig5(args):
@@ -315,33 +310,19 @@ def _fig5(args):
                                (1.5, 0.5, 1.5, 0.5, 1.5, 0.5, 1.5))
     rates = [("sin", Sinusoid(1.0, 1.0, 0.8)), ("square", square)]
     services = [("exp", Exponential(mu)), ("uni", Uniform(0.0, 2.0 / mu))]
-    ts = np.arange(0.5, 20.0 + 1e-9, 0.5)
-    rows = []
-    for rname, rate in rates:
-        for sname, svc in services:
-            for theta in (0.1, 0.9):
-                prefix = f"{rname}-{sname}-th{theta:g}-"
-                rows.extend(_time_sweep_rows(rate, svc, theta, (0.8, 3.0),
-                                             ts, args, default_reps=300,
-                                             seed0=505, prefix=prefix))
-    return {"command": "reproduce-figure", "figure": "fig5",
-            "columns": ["series", "t", "analytic", "simulated"], "rows": rows}
+    systems = [(f"{rname}-{sname}-th{theta:g}-", SystemConfig(rate, svc, theta))
+               for rname, rate in rates for sname, svc in services
+               for theta in (0.1, 0.9)]
+    return _time_sweep(args, "fig5", systems, (0.8, 3.0), reps=300, seed=505)
 
 
 def _fig6(args):
     system = SystemConfig(Constant(2.0), Erlang(5, 1.0 / 6.0), 0.5)
-    t = 50.0
     xs = np.arange(0.25, 8.0 + 1e-9, 0.25)
-    settings = _solver_settings(args, {}, horizon=t)
-    idle = solve_idle_prob(system, settings)
-    reps = args.replications if args.replications is not None else 20000
-    seed = args.seed if args.seed is not None else 606
-    emp = empirical_cdf(SimRequest(system, t, reps, seed), xs)
+    phi, emp = _phi_and_sim(args, system, [50.0], xs, reps=20000, seed=606)
     model = StationaryModel(system.rate.a, system.service, system.theta)
-    rows = [(float(x),
-             aoi_cdf_tv(system, t, float(x), settings=settings, idle=idle),
-             aoi_cdf_stationary(model, float(x)),
-             float(e)) for x, e in zip(xs, emp)]
+    rows = [(float(x), float(a), aoi_cdf_stationary(model, float(x)), float(e))
+            for x, a, e in zip(xs, phi[0], emp[0])]
     return {"command": "reproduce-figure", "figure": "fig6",
             "columns": ["x", "analytic", "stationary", "simulated"],
             "rows": rows}
@@ -356,8 +337,7 @@ def _fig7(args):
                 ("gam2", Gamma(1.0 / mu, 1.0)),
                 ("erlang", Erlang(5, 1.0 / (5 * mu)))]
     xs = np.arange(0.25, 10.0 + 1e-9, 0.25)
-    reps = args.replications if args.replications is not None else 5000
-    seed = args.seed if args.seed is not None else 707
+    reps, seed = _sim_budget(args, 5000, 707)
     t_sim = 50.0
     rows = []
     for theta in (0.0, 0.3):

@@ -12,7 +12,7 @@ the loop repeats, up to ite_max rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,7 +118,9 @@ def _default_rate_grid():
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for the search loop; the method itself fixes none of
-    these, so they are explicit artifact choices."""
+    these, so they are explicit artifact choices. `solver` sets the audit's
+    grid_n and etol; the audit grid always spans [0, t_n], so its horizon
+    must be None."""
 
     rate_grid: tuple = field(default_factory=_default_rate_grid)
     eps: float = 0.01
@@ -141,6 +143,9 @@ class OptimizerSettings:
             raise ConfigError(f"ite_max must be >= 1, got {self.ite_max}")
         if self.eta_spacing <= 0:
             raise ConfigError(f"eta_spacing must be > 0, got {self.eta_spacing}")
+        if self.solver.horizon is not None:
+            raise ConfigError("the audit runs on [0, t_n]: leave solver.horizon "
+                              f"None, got {self.solver.horizon}")
 
 
 @dataclass(frozen=True)
@@ -247,9 +252,7 @@ def evaluate_plan(plan, schedule, service, theta, settings):
     [(eta, k, achieved, required, ok)] for every audit node. Independent of
     the search loop, so a feasibility claim can be re-checked from scratch."""
     config = SystemConfig(plan.profile(), service, theta)
-    horizon = schedule.times[-1]
-    solver = SolverSettings(horizon=horizon, grid_n=settings.solver.grid_n,
-                            etol=settings.solver.etol)
+    solver = replace(settings.solver, horizon=schedule.times[-1])
     idle = solve_idle_prob(config, solver)
     rows = []
     for eta, k in _eta_nodes(schedule, settings.eta_spacing):

@@ -178,6 +178,16 @@ def test_bool_theta_is_a_config_error(tmp_path, capsys):
     assert expect_error_record(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("replications", True), ("replications", 20.0), ("seed", 3.7), ("seed", -1)])
+def test_non_integer_simulation_counts_are_config_errors(tmp_path, capsys, key, value):
+    sec = dict({"t": 2.0, "xs": [1.0], "replications": 10, "seed": 3}, **{key: value})
+    cfg = write_cfg(tmp_path, dict(MM_DOC, simulate=sec))
+    rc, out, err = run(capsys, ["simulate", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert expect_error_record(err)["error"] == "ConfigError"
+
+
 def test_convergence_budget_maps_to_numeric_exit(tmp_path, capsys):
     # etol below the rounding floor: the residual certificate must fail
     doc = {"rate": {"kind": "constant", "a": 2.0},

@@ -7,7 +7,7 @@ from aoiq import (Exponential, Deterministic, Uniform, Gamma, Erlang,
                   ConstraintSchedule, PiecewiseRatePlan, OptimizerSettings,
                   choose_theta, split_windows, stationary_rate_search,
                   evaluate_plan, optimize_rates, benchmark_constant_rate,
-                  Constant, PiecewiseConstant, ConfigError)
+                  Constant, PiecewiseConstant, SolverSettings, ConfigError)
 from aoiq import optimizer as opt_mod
 
 SCHED = ConstraintSchedule(times=(0.0, 14.0, 30.0, 56.0),
@@ -175,6 +175,25 @@ def test_evaluate_plan_rows_and_skips():
         assert 0.0 <= phi <= 1.0
         assert req == 0.5
         assert ok == (phi >= req)
+
+
+def test_audit_solver_takes_the_schedule_horizon(monkeypatch):
+    # the audit grid always spans [0, t_n]: a solver horizon would be
+    # ignored, so it is refused, and grid_n divides t_n
+    with pytest.raises(ConfigError):
+        OptimizerSettings(solver=SolverSettings(horizon=5.0, grid_n=3000))
+    seen, solve = [], opt_mod.solve_idle_prob
+
+    def recorded(config, settings):
+        seen.append(settings)
+        return solve(config, settings)
+
+    monkeypatch.setattr(opt_mod, "solve_idle_prob", recorded)
+    sched = ConstraintSchedule((0.0, 4.0, 8.0), (1.0, 2.0), (0.5, 0.5))
+    plan = PiecewiseRatePlan(split_windows(sched), (2.0, 2.0, 2.0))
+    settings = OptimizerSettings(solver=SolverSettings(grid_n=1600, etol=1e-7))
+    evaluate_plan(plan, sched, Exponential(1.0), 1.0, settings)
+    assert seen == [SolverSettings(horizon=8.0, grid_n=1600, etol=1e-7)]
 
 
 def test_single_interval_end_to_end():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from aoiq import (Constant, Sinusoid, Uniform, Exponential, Erlang,
-                  SystemConfig, SimRequest, simulate_aoi_at, empirical_cdf,
-                  SolverSettings, aoi_cdf_tv, aoi_cdf_negligible, ConfigError)
+                  Deterministic, SystemConfig, SimRequest, simulate_aoi_at,
+                  empirical_cdf, SolverSettings, aoi_cdf_tv, aoi_cdf_negligible,
+                  ConfigError)
+from aoiq import simulator
 
 
 def dkw_band(n, alpha=0.01):
@@ -21,45 +23,83 @@ def test_request_validation():
         SimRequest(cfg, 1.0, 0, 0)
 
 
+@pytest.mark.parametrize("replications, seed", [
+    (True, 3), (10.0, 3), (10, 3.7), (10, -1), (10, False)])
+def test_request_needs_integer_counts(replications, seed):
+    cfg = SystemConfig(Constant(1.0), Exponential(1.0), 0.5)
+    with pytest.raises(ConfigError):
+        SimRequest(cfg, 1.0, replications, seed)
+    SimRequest(cfg, 1.0, np.int64(10), np.int64(3))
+
+
 def test_zero_rate_age_equals_clock():
     # no arrivals ever: the virtual time-0 update is all there is
     cfg = SystemConfig(Constant(0.0), Exponential(1.0), 0.5)
     rng = np.random.default_rng(0)
-    assert simulate_aoi_at(cfg, 5.0, rng) == 5.0
+    samples, counts = simulate_aoi_at(cfg, 5.0, rng, 3)
+    np.testing.assert_array_equal(samples, [5.0, 5.0, 5.0])
+    assert counts["completions"] == 0
 
 
 def test_counters_without_preemption():
     cfg = SystemConfig(Constant(3.0), Exponential(0.4), 0.0)
     rng = np.random.default_rng(42)
-    counters = {}
-    for _ in range(200):
-        simulate_aoi_at(cfg, 20.0, rng, counters=counters)
+    _, counters = simulate_aoi_at(cfg, 20.0, rng, 200)
     assert counters["busy_arrivals"] > 0
     assert counters["discards"] == counters["busy_arrivals"]
-    assert "preemptions" not in counters or counters["preemptions"] == 0
+    assert counters["preemptions"] == 0
 
 
 def test_counters_full_preemption():
     cfg = SystemConfig(Constant(3.0), Exponential(0.4), 1.0)
     rng = np.random.default_rng(42)
-    counters = {}
-    for _ in range(200):
-        simulate_aoi_at(cfg, 20.0, rng, counters=counters)
+    _, counters = simulate_aoi_at(cfg, 20.0, rng, 200)
     assert counters["busy_arrivals"] > 0
     assert counters["preemptions"] == counters["busy_arrivals"]
-    assert "discards" not in counters or counters["discards"] == 0
+    assert counters["discards"] == 0
 
 
 def test_partial_preemption_splits_busy_arrivals():
     cfg = SystemConfig(Constant(3.0), Exponential(0.4), 0.6)
     rng = np.random.default_rng(7)
-    counters = {}
-    for _ in range(400):
-        simulate_aoi_at(cfg, 20.0, rng, counters=counters)
+    _, counters = simulate_aoi_at(cfg, 20.0, rng, 400)
     total = counters["preemptions"] + counters["discards"]
     assert total == counters["busy_arrivals"]
     frac = counters["preemptions"] / total
     assert abs(frac - 0.6) < 0.05
+
+
+def test_padding_never_completes_a_service():
+    # only a real arrival column may complete a service: the AoI under
+    # Deterministic(1) service is at least min(1, t)
+    cfg = SystemConfig(Constant(2.0), Deterministic(1.0), 0.5)
+    samples, _ = simulate_aoi_at(cfg, 5.0, np.random.default_rng(0), 2000)
+    assert np.all(samples >= 1.0)
+
+
+def test_blocks_are_reproducible_and_unbiased(monkeypatch):
+    # a small candidate budget splits 2000 replications into many blocks
+    monkeypatch.setattr(simulator, "BLOCK_CANDIDATES", 2 ** 14)
+    blocks = []
+
+    def recorded(config, t, rng, reps):
+        samples, counts = simulate_aoi_at(config, t, rng, reps)
+        blocks.append((reps, counts))
+        return samples, counts
+
+    monkeypatch.setattr(simulator, "simulate_aoi_at", recorded)
+    cfg = SystemConfig(Sinusoid(1.7, 1.0, 1.8), Erlang(5, 1 / 6), 0.6)
+    req = SimRequest(cfg, 12.0, 2000, seed=8)
+    xs = np.linspace(0.5, 6.0, 12)
+    a = empirical_cdf(req, xs)
+    assert len(blocks) >= 3 and sum(reps for reps, _ in blocks) == 2000
+    np.testing.assert_array_equal(a, empirical_cdf(req, xs))
+    settings = SolverSettings(horizon=12.0)
+    want = np.array([aoi_cdf_tv(cfg, 12.0, x, settings=settings) for x in xs])
+    assert np.max(np.abs(a - want)) < dkw_band(2000)
+    total = {key: sum(c[key] for _, c in blocks) for key in blocks[0][1]}
+    assert total["busy_arrivals"] > 0
+    assert total["busy_arrivals"] == total["preemptions"] + total["discards"]
 
 
 def test_replications_are_deterministic():
