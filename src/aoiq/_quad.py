@@ -1,10 +1,11 @@
 """Composite Gauss-Legendre quadrature with kink splitting.
 
 One primitive, `gauss_panels`, integrates a vectorized f over every panel
-of an edge list with a single call of f on the (panels x nodes) array;
-`composite_gauss` sums its 64-node form over the segments between
-breakpoints. The stationary paths and the negligible-processing mean use
-64 nodes, the Volterra solvers' product weights 2 per grid cell.
+of an edge list with a single call of f on the (panels x nodes) array that
+`gauss_nodes` lays out; `composite_gauss` sums its 64-node form over the
+segments between breakpoints. The stationary paths and the
+negligible-processing mean use 64 nodes, the Volterra solvers' product
+weights 2 per grid cell.
 """
 
 import numpy as np
@@ -22,17 +23,25 @@ def split_points(a, b, breakpoints):
     return np.array(sorted(set(pts)))
 
 
-def gauss_panels(f, edges, npts):
-    """npts-node integrals of a vectorized f over each panel [edges[k],
-    edges[k+1]], from one call of f on the (panels x npts) node array whose
-    row k holds panel k's nodes (f may stack integrands on leading axes)."""
+def gauss_nodes(edges, npts):
+    """(nodes, half, w) of the npts-node Gauss rule on each panel [edges[k],
+    edges[k+1]]: row k of the (panels x npts) array `nodes` holds panel k's
+    nodes, and half * (values @ w) are the panel integrals."""
     if npts not in _RULES:
         _RULES[npts] = np.polynomial.legendre.leggauss(npts)
     x, w = _RULES[npts]
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    vals = np.asarray(f(mid[:, None] + half[:, None] * x), dtype=float)
+    return mid[:, None] + half[:, None] * x, half, w
+
+
+def gauss_panels(f, edges, npts):
+    """npts-node integrals of a vectorized f over each panel [edges[k],
+    edges[k+1]], from one call of f on the (panels x npts) node array whose
+    row k holds panel k's nodes (f may stack integrands on leading axes)."""
+    nodes, half, w = gauss_nodes(edges, npts)
+    vals = np.asarray(f(nodes), dtype=float)
     return half * (vals @ w)
 
 

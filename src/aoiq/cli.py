@@ -103,20 +103,7 @@ def _floats(value, where):
 
 def _solver_settings(args, sec, horizon):
     grid_n = args.grid_n if args.grid_n is not None else sec.get("grid_n")
-    etol = args.etol if args.etol is not None else sec.get("etol", 1e-8)
-    return SolverSettings(horizon=horizon, grid_n=grid_n, etol=float(etol))
-
-
-def _optimizer_settings(args, **kwargs):
-    """OptimizerSettings whose audit solver takes --grid-n / --etol."""
-    solver_kwargs = {}
-    if args.grid_n is not None:
-        solver_kwargs["grid_n"] = args.grid_n
-    if args.etol is not None:
-        solver_kwargs["etol"] = args.etol
-    if solver_kwargs:
-        kwargs["solver"] = SolverSettings(**solver_kwargs)
-    return OptimizerSettings(**kwargs)
+    return SolverSettings(horizon=horizon, grid_n=grid_n)
 
 
 def _sim_budget(args, reps, seed):
@@ -227,7 +214,7 @@ def _cmd_optimize(args):
             kwargs[key] = float(sec[key])
     if "ite_max" in sec:
         kwargs["ite_max"] = int(sec["ite_max"])
-    settings = _optimizer_settings(args, **kwargs)
+    settings = OptimizerSettings(grid_n=args.grid_n, **kwargs)
     theta = sec.get("theta")
     if theta is not None:
         theta = float(theta)
@@ -365,7 +352,7 @@ def _fig8(args):
         thresholds=(7.5, 6.5, 4.5, 3.0, 4.5, 6.5, 7.5),
         probabilities=(0.9,) * 7)
     service = Uniform(0.0, 4.0 / 3.0)
-    settings = _optimizer_settings(args)
+    settings = OptimizerSettings(grid_n=args.grid_n)
     heuristic = optimize_rates(service, schedule, settings)
     benchmark = benchmark_constant_rate(service, schedule, settings)
     for label, res in (("heuristic", heuristic), ("benchmark", benchmark)):
@@ -416,17 +403,16 @@ def _build_parser():
         "--seed": {"type": int},
         "--replications": {"type": int},
         "--grid-n": {"type": int},
-        "--etol": {"type": float},
     }
     # each command accepts exactly the flags its handler reads
     commands = {
-        "solve-tv": (_cmd_solve_tv, ("--config", "--grid-n", "--etol")),
+        "solve-tv": (_cmd_solve_tv, ("--config", "--grid-n")),
         "solve-stationary": (_cmd_solve_stationary, ("--config",)),
         "simulate": (_cmd_simulate, ("--config", "--seed", "--replications")),
-        "optimize": (_cmd_optimize, ("--config", "--grid-n", "--etol")),
+        "optimize": (_cmd_optimize, ("--config", "--grid-n")),
         "reproduce-figure": (_cmd_reproduce_figure,
                              ("--figure", "--seed", "--replications",
-                              "--grid-n", "--etol")),
+                              "--grid-n")),
     }
     for name, (handler, names) in commands.items():
         p = sub.add_parser(name)

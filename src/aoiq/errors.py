@@ -16,7 +16,8 @@ class UnsupportedServiceError(ConfigError):
 
 class ConvergenceError(RuntimeError):
     """A finite-time solve left a residual of its discrete equations above
-    the tolerance etol."""
+    the constant bound SolverSettings.etol = 1e-8. The march's residual is
+    roundoff, so this flags a solve that broke down (say, into NaN)."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

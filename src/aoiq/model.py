@@ -501,15 +501,20 @@ def rate_at(profile, t):
     return v
 
 
-def is_nbu(dist, grid_points=100, tol=1e-9):
-    """New-Better-than-Used check: Fbar(z+tau) <= Fbar(z)*Fbar(tau) + tol on a
-    grid over [0, 5*mean]^2. Note the optimizer's preemption policy table is
-    intentionally separate from this predicate."""
+_NBU_POINTS = 100
+_NBU_TOL = 1e-9
+
+
+def is_nbu(dist):
+    """New-Better-than-Used check: Fbar(z+tau) <= Fbar(z)*Fbar(tau) + _NBU_TOL
+    on a _NBU_POINTS x _NBU_POINTS grid over [0, 5*mean]^2. Note the
+    optimizer's preemption policy table is intentionally separate from this
+    predicate."""
     span = 5.0 * dist.mean
-    g = np.linspace(0.0, span, grid_points)
+    g = np.linspace(0.0, span, _NBU_POINTS)
     sf = 1.0 - np.asarray(dist.cdf(g))
     sum_sf = 1.0 - np.asarray(dist.cdf(g[:, None] + g[None, :]))
-    return bool(np.all(sum_sf <= sf[:, None] * sf[None, :] + tol))
+    return bool(np.all(sum_sf <= sf[:, None] * sf[None, :] + _NBU_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ the loop repeats, up to ite_max rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,15 +118,14 @@ def _default_rate_grid():
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for the search loop; the method itself fixes none of
-    these, so they are explicit artifact choices. `solver` sets the audit's
-    grid_n and etol; the audit grid always spans [0, t_n], so its horizon
-    must be None."""
+    these, so they are explicit artifact choices. `grid_n` is the audit
+    solver's step count on [0, t_n]; None takes its default step."""
 
     rate_grid: tuple = field(default_factory=_default_rate_grid)
     eps: float = 0.01
     ite_max: int = 30
     eta_spacing: float = 0.5
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    grid_n: int | None = None
 
     def __post_init__(self):
         grid = tuple(float(v) for v in self.rate_grid)
@@ -143,9 +142,8 @@ class OptimizerSettings:
             raise ConfigError(f"ite_max must be >= 1, got {self.ite_max}")
         if self.eta_spacing <= 0:
             raise ConfigError(f"eta_spacing must be > 0, got {self.eta_spacing}")
-        if self.solver.horizon is not None:
-            raise ConfigError("the audit runs on [0, t_n]: leave solver.horizon "
-                              f"None, got {self.solver.horizon}")
+        # a bad grid_n fails here, not at the first audit
+        SolverSettings(grid_n=self.grid_n)
 
 
 @dataclass(frozen=True)
@@ -175,13 +173,15 @@ def choose_theta(service):
     raise ConfigError(f"no preemption policy for service kind {service.kind!r}")
 
 
-def split_windows(schedule):
-    """Sub-interval grid: every non-final [t_i, t_{i+1}) splits at
-    t_{i+1} - x_{i+1} into cruising + preparation; the final interval stays
-    whole (nothing upcoming to prepare for). Returns 2n breakpoints."""
+def _windows(schedule):
+    """The window table (breakpoints, active): 2n breakpoints, and per
+    window the intervals whose requirements it must meet. Every non-final
+    [t_i, t_{i+1}) splits at t_{i+1} - x_{i+1} into cruising (active: i)
+    and preparation (active: i, i+1); the final interval stays whole
+    (nothing upcoming to prepare for; active: n-1)."""
     times, xs = schedule.times, schedule.thresholds
     n = schedule.n
-    pts = [times[0]]
+    pts, active = [times[0]], []
     for i in range(n - 1):
         split = times[i + 1] - xs[i + 1]
         if split <= times[i]:
@@ -189,22 +189,15 @@ def split_windows(schedule):
                 f"no room for a cruising window on [{times[i]}, {times[i + 1]}): "
                 f"next threshold {xs[i + 1]} eats the whole interval")
         pts.extend((split, times[i + 1]))
+        active.extend(((i,), (i, i + 1)))
     pts.append(times[n])
-    return tuple(pts)
+    active.append((n - 1,))
+    return tuple(pts), tuple(active)
 
 
-def _window_targets(schedule, targets):
-    """Active (threshold, target) pairs per window, in split_windows order:
-    cruising i -> [(x_i, q_i)]; preparation i -> [(x_i, q_i), (x_{i+1}, q_{i+1})];
-    final window n-1 -> [(x_{n-1}, q_{n-1})]."""
-    xs = schedule.thresholds
-    n = schedule.n
-    out = []
-    for i in range(n - 1):
-        out.append([(xs[i], targets[i])])
-        out.append([(xs[i], targets[i]), (xs[i + 1], targets[i + 1])])
-    out.append([(xs[n - 1], targets[n - 1])])
-    return out
+def split_windows(schedule):
+    """Breakpoints of the cruising/preparation window split: 2n points."""
+    return _windows(schedule)[0]
 
 
 def stationary_rate_search(service, theta, active, settings, _cache=None):
@@ -252,7 +245,7 @@ def evaluate_plan(plan, schedule, service, theta, settings):
     [(eta, k, achieved, required, ok)] for every audit node. Independent of
     the search loop, so a feasibility claim can be re-checked from scratch."""
     config = SystemConfig(plan.profile(), service, theta)
-    solver = replace(settings.solver, horizon=schedule.times[-1])
+    solver = SolverSettings(horizon=schedule.times[-1], grid_n=settings.grid_n)
     idle = solve_idle_prob(config, solver)
     rows = []
     for eta, k in _eta_nodes(schedule, settings.eta_spacing):
@@ -263,18 +256,32 @@ def evaluate_plan(plan, schedule, service, theta, settings):
     return rows
 
 
-def _refine(schedule, service, theta, settings, build_plan):
-    """Shared search-audit-escalate loop. build_plan(targets, cache) returns
-    a PiecewiseRatePlan or None (infeasible at the current targets)."""
+def _refine(schedule, service, theta, settings, windows):
+    """Shared search-audit-escalate loop over a window table (breakpoints,
+    active intervals per window). Each round gives every window the
+    smallest grid rate meeting the current targets of its active intervals,
+    stopping at the first window that finds none (infeasible), and audits
+    the plan; each violating node bumps its interval's target by eps."""
+    settings = settings or OptimizerSettings()
+    if theta is None:
+        theta = choose_theta(service)
+    bps, active = windows
+    xs = schedule.thresholds
     targets = list(schedule.probabilities)
     cache = {}
     plan = None
     rounds = 0
     for _ in range(settings.ite_max):
         rounds += 1
-        plan = build_plan(targets, cache)
-        if plan is None:
-            return OptimizeResult(False, None, theta, rounds, tuple(targets), ())
+        rates = []
+        for ks in active:
+            lam = stationary_rate_search(service, theta,
+                                         [(xs[k], targets[k]) for k in ks],
+                                         settings, _cache=cache)
+            if lam is None:
+                return OptimizeResult(False, None, theta, rounds, tuple(targets), ())
+            rates.append(lam)
+        plan = PiecewiseRatePlan(bps, tuple(rates))
         audit = evaluate_plan(plan, schedule, service, theta, settings)
         bad = [row for row in audit if not row[4]]
         if not bad:
@@ -290,39 +297,11 @@ def optimize_rates(service, schedule, settings=None, theta=None):
     """Full heuristic: policy choice, window split, per-window stationary
     grid search, finite-time audit, eps-escalation. Returns an
     OptimizeResult; result.feasible=False carries the last violations."""
-    settings = settings or OptimizerSettings()
-    if theta is None:
-        theta = choose_theta(service)
-    bps = split_windows(schedule)
-
-    def build(targets, cache):
-        rates = []
-        for active in _window_targets(schedule, targets):
-            lam = stationary_rate_search(service, theta, active, settings,
-                                         _cache=cache)
-            if lam is None:
-                return None
-            rates.append(lam)
-        return PiecewiseRatePlan(bps, tuple(rates))
-
-    return _refine(schedule, service, theta, settings, build)
+    return _refine(schedule, service, theta, settings, _windows(schedule))
 
 
 def benchmark_constant_rate(service, schedule, settings=None, theta=None):
     """Reference point: one rate over the whole horizon meeting every
     requirement in steady state, audited and escalated the same way."""
-    settings = settings or OptimizerSettings()
-    if theta is None:
-        theta = choose_theta(service)
-    xs = schedule.thresholds
-    span = (schedule.times[0], schedule.times[-1])
-
-    def build(targets, cache):
-        active = list(zip(xs, targets))
-        lam = stationary_rate_search(service, theta, active, settings,
-                                     _cache=cache)
-        if lam is None:
-            return None
-        return PiecewiseRatePlan(span, (lam,))
-
-    return _refine(schedule, service, theta, settings, build)
+    whole = ((schedule.times[0], schedule.times[-1]), (tuple(range(schedule.n)),))
+    return _refine(schedule, service, theta, settings, whole)

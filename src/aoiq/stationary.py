@@ -14,7 +14,9 @@ neither reads a service density:
 M(x) = P(idle, AoI <= x), for every theta, comes from one march over
 sorted knots (0, the service breakpoints and every point asked for) with
 all piece integrals of F from one call of the Gauss panel rule, so each
-convolution evaluates M at all of its quadrature nodes in one pass.
+convolution evaluates M at x and at all of its quadrature nodes in one
+pass. No panel over [0, x] is longer than 16 (E[S] + 1/lambda), so the
+tail stays resolved at any x.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import composite_gauss, gauss_panels, geometric_ladder
+from ._quad import gauss_nodes, gauss_panels, geometric_ladder, split_points
 from .errors import ConfigError, InversionError
 
 __all__ = [
@@ -55,6 +57,9 @@ _EULER_WEIGHTS = np.array([math.comb(_EULER_STAGES, j)
                            for j in range(_EULER_STAGES + 1)]) / 2.0 ** _EULER_STAGES
 # relative threshold for the lambda ~ mu limit branches
 _EQ_RATE_DELTA = 1e-6
+# M and the convolution integrand change on the scale E[S] + 1/lambda; 64
+# nodes resolve them on panels up to _PANEL_SCALE times that long
+_PANEL_SCALE = 16
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,20 @@ def _m(model, s):
     return m[np.searchsorted(knots, s)]
 
 
+def _panel_edges(model, x, splits=()):
+    """Sorted edges of [0, x]: the interior split points plus an even grid
+    of panels no longer than _PANEL_SCALE (E[S] + 1/lam)."""
+    longest = _PANEL_SCALE * (model.service.mean + 1.0 / model.lam)
+    even = np.linspace(0.0, x, math.ceil(x / longest) + 1)
+    return split_points(0.0, x, [*even, *splits])
+
+
 def m_x_stationary(model, x):
     """Stationary M(x) = P(idle, AoI <= x) for every theta and service law;
     the march is graded toward 0, where F(v) may behave like v^shape."""
     if x <= 0:
         return 0.0
-    val = _m(model, [*geometric_ladder(x), x])[-1]
+    val = _m(model, [*geometric_ladder(x), *_panel_edges(model, x)])[-1]
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -193,12 +206,15 @@ def _euler_invert(fhat, x):
 
 def _convolve(model, x, g):
     """T[g](x) = g(x) + lam int_0^x g(s) (1 - F(x-s)) ds at theta = 0, for
-    g(model, s) = M or M'. The integrand kinks at each service breakpoint b
-    (through g) and at x - b (through F)."""
+    g(model, s) = M or M', with g at x and at every Gauss node from one
+    march. The integrand kinks at each service breakpoint b (through g) and
+    at x - b (through F)."""
     bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
-    return float(g(model, x)) + model.lam * composite_gauss(
-        lambda s: g(model, s) * (1.0 - model.service.cdf(x - s)), 0.0, x,
-        bps + [x - b for b in bps])
+    nodes, half, w = gauss_nodes(
+        _panel_edges(model, x, bps + [x - b for b in bps]), 64)
+    vals = g(model, np.append(nodes, x))
+    inner = vals[:-1].reshape(nodes.shape) * (1.0 - model.service.cdf(x - nodes))
+    return float(vals[-1]) + model.lam * float(np.sum(half * (inner @ w)))
 
 
 def _m_prime(model, s):

@@ -15,15 +15,17 @@ Plus the negligible-processing closed forms where service time is ~0.
 The idle-curve and Phi-hat equations are linear in the unknown at each
 node, so one implicit march solves every node in closed form (Linz,
 Analytical and Numerical Methods for Volterra Equations, SIAM 1985, ch. 7).
-The discrete equation is then evaluated again at the solution and a
-residual above etol raises ConvergenceError.
+The grid is the only accuracy setting: the discrete equations are
+evaluated again at the solution, which leaves a roundoff residual, and a
+residual above SolverSettings.etol = 1e-8 raises ConvergenceError.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,18 +43,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Grid and accuracy control for the Volterra solvers.
+    """The grid of the Volterra solvers, their only accuracy setting.
 
     horizon: right end T of the idle-curve grid; None lets aoi_cdf_tv use
         its evaluation time t.
     grid_n: number of steps on [0, T]; None takes the fewest steps with
         h <= 0.01, whatever the service law.
-    etol: bound on the sup-norm residual of the discrete equations.
+    etol: a constant, the bound on the sup-norm residual of the discrete
+        equations; the march leaves a roundoff residual, far below it.
     """
 
     horizon: float | None = None
     grid_n: int | None = None
-    etol: float = 1e-8
+    etol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if self.horizon is not None and self.horizon <= 0:
@@ -62,8 +65,6 @@ class SolverSettings:
                 or not isinstance(self.grid_n, numbers.Integral)
                 or self.grid_n < 2):
             raise ConfigError(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
-        if self.etol <= 0:
-            raise ConfigError(f"etol must be > 0, got {self.etol}")
 
 
 class IdleProbabilityCurve:
@@ -96,11 +97,11 @@ def _grid_count(settings, T):
     return max(2, math.ceil(T / _STEP - 1e-12))
 
 
-def _certify(residual, etol, label):
-    if not residual <= etol:
+def _certify(residual, label):
+    if not residual <= SolverSettings.etol:
         raise ConvergenceError(
             f"{label}: residual {residual:.3e} of the discrete equations "
-            f"exceeds etol {etol:.1e}", residual=residual)
+            f"exceeds etol {SolverSettings.etol:.1e}", residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,8 @@ def _certify(residual, etol, label):
 # ---------------------------------------------------------------------------
 
 def solve_idle_prob(config, settings):
-    """Solve the M(t, inf) equation on [0, T] to sup-norm residual <= etol.
+    """Solve the M(t, inf) equation on [0, T], certified to sup-norm
+    residual <= SolverSettings.etol.
 
     The returned curve includes the never-updated term exp(-int_0^t lambda*theta)
     and interpolates linearly between nodes; M(0, inf) = 1 (empty start).
@@ -130,7 +132,7 @@ def solve_idle_prob(config, settings):
         base += theta * _kernels.history(lam, mom["F"], Lam, theta)
     w, resid = _kernels.march(base, lam, mom["1-F"], Lam, theta,
                               alpha=-(1.0 - theta), beta=np.zeros(n + 1))
-    _certify(resid, settings.etol, "idle curve")
+    _certify(resid, "idle curve")
     grid = GridFunction(0.0, h, np.clip(w, 0.0, 1.0))
     return IdleProbabilityCurve(grid, resid)
 
@@ -217,10 +219,7 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
         raise ConfigError(
             f"settings.horizon {settings.horizon} is below the evaluation time {t}")
     if idle is None:
-        horizon = settings.horizon if settings.horizon is not None else t
-        idle_settings = SolverSettings(horizon=horizon, grid_n=settings.grid_n,
-                                       etol=settings.etol)
-        idle = solve_idle_prob(config, idle_settings)
+        idle = solve_idle_prob(config, replace(settings, horizon=settings.horizon or t))
     elif idle.horizon < t - 1e-9 * max(1.0, t):
         raise ConfigError(
             f"idle curve horizon {idle.horizon} does not cover t={t}")
@@ -243,7 +242,7 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     mx = _joint_block(config, Lam, c, mom)
     w, resid = _kernels.march(mx, lam, mom["1-F"], Lam, theta,
                               alpha=theta, beta=(1.0 - theta) * mx)
-    _certify(resid, settings.etol, f"Phi(t={t}, x={x})")
+    _certify(resid, f"Phi(t={t}, x={x})")
     return float(min(max(w[-1], 0.0), 1.0))
 
 

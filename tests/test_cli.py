@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from aoiq import cli
+from aoiq import SolverSettings, cli
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -188,11 +188,12 @@ def test_non_integer_simulation_counts_are_config_errors(tmp_path, capsys, key, 
     assert expect_error_record(err)["error"] == "ConfigError"
 
 
-def test_convergence_budget_maps_to_numeric_exit(tmp_path, capsys):
-    # etol below the rounding floor: the residual certificate must fail
+def test_convergence_budget_maps_to_numeric_exit(tmp_path, capsys, monkeypatch):
+    # a bound below the rounding floor: the residual certificate must fail
+    monkeypatch.setattr(SolverSettings, "etol", 1e-20)
     doc = {"rate": {"kind": "constant", "a": 2.0},
            "service": {"kind": "exponential", "mu": 1.0}, "theta": 0.0,
-           "solve_tv": {"t": 20.0, "xs": [1.0], "etol": 1e-20}}
+           "solve_tv": {"t": 20.0, "xs": [1.0]}}
     cfg = write_cfg(tmp_path, doc)
     rc, _, err = run(capsys, ["solve-tv", "--config", cfg])
     assert rc == 3
@@ -225,9 +226,14 @@ def test_infeasible_optimize_maps_to_exit_4(tmp_path, capsys):
     ["simulate", "--etol", "1e-6"],
     ["optimize", "--seed", "3"],
     ["reproduce-figure", "--figure", "fig6", "--config", "CFG"],
+    ["solve-tv", "--etol", "1e-6"],
+    ["solve-stationary", "--etol", "1e-6"],
+    ["optimize", "--etol", "1e-6"],
+    ["reproduce-figure", "--figure", "fig8", "--etol", "1e-6"],
 ], ids=["solve-stationary-seed", "solve-stationary-grid-n",
         "solve-tv-replications", "simulate-etol", "optimize-seed",
-        "reproduce-figure-config"])
+        "reproduce-figure-config", "solve-tv-etol", "solve-stationary-etol",
+        "optimize-etol", "reproduce-figure-etol"])
 def test_flag_not_read_by_command_is_rejected(tmp_path, capsys, argv):
     doc = dict(MM_DOC, solve_stationary={"xs": [1.0]},
                solve_tv={"t": 2.0, "xs": [1.0]},

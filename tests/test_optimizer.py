@@ -178,10 +178,7 @@ def test_evaluate_plan_rows_and_skips():
 
 
 def test_audit_solver_takes_the_schedule_horizon(monkeypatch):
-    # the audit grid always spans [0, t_n]: a solver horizon would be
-    # ignored, so it is refused, and grid_n divides t_n
-    with pytest.raises(ConfigError):
-        OptimizerSettings(solver=SolverSettings(horizon=5.0, grid_n=3000))
+    # the audit grid always spans [0, t_n], and grid_n divides t_n
     seen, solve = [], opt_mod.solve_idle_prob
 
     def recorded(config, settings):
@@ -191,9 +188,9 @@ def test_audit_solver_takes_the_schedule_horizon(monkeypatch):
     monkeypatch.setattr(opt_mod, "solve_idle_prob", recorded)
     sched = ConstraintSchedule((0.0, 4.0, 8.0), (1.0, 2.0), (0.5, 0.5))
     plan = PiecewiseRatePlan(split_windows(sched), (2.0, 2.0, 2.0))
-    settings = OptimizerSettings(solver=SolverSettings(grid_n=1600, etol=1e-7))
+    settings = OptimizerSettings(grid_n=1600)
     evaluate_plan(plan, sched, Exponential(1.0), 1.0, settings)
-    assert seen == [SolverSettings(horizon=8.0, grid_n=1600, etol=1e-7)]
+    assert seen == [SolverSettings(horizon=8.0, grid_n=1600)]
 
 
 def test_single_interval_end_to_end():
@@ -251,9 +248,9 @@ def test_escalation_raises_targets_until_feasible(monkeypatch):
                                (0.5, 0.5, 0.5))
     seen = []
 
-    def fake_build(targets, cache):
-        seen.append(tuple(targets))
-        return PiecewiseRatePlan(split_windows(sched), (1.0,) * 5)
+    def fake_search(service, theta, active, settings, _cache=None):
+        seen.append(tuple(p for _, p in active))
+        return 1.0
 
     def fake_evaluate(plan, schedule, service, theta, settings):
         rows = []
@@ -264,9 +261,12 @@ def test_escalation_raises_targets_until_feasible(monkeypatch):
             rows.append((eta, k, phi, req, phi >= req))
         return rows
 
+    monkeypatch.setattr(opt_mod, "stationary_rate_search", fake_search)
     monkeypatch.setattr(opt_mod, "evaluate_plan", fake_evaluate)
     settings = OptimizerSettings(eps=0.01)
-    res = opt_mod._refine(sched, Exponential(1.0), 1.0, settings, fake_build)
+    # one window with every interval active: one search per round
+    whole = ((0.0, 30.0), ((0, 1, 2),))
+    res = opt_mod._refine(sched, Exponential(1.0), 1.0, settings, whole)
     assert res.feasible
     assert res.rounds == 3
     # each failing round bumped interval 1 once per violating eta node
@@ -280,8 +280,8 @@ def test_escalation_raises_targets_until_feasible(monkeypatch):
 def test_escalation_exhausts_budget_with_violations(monkeypatch):
     sched = ConstraintSchedule((0.0, 10.0, 20.0), (1.0, 1.0), (0.5, 0.5))
 
-    def fake_build(targets, cache):
-        return PiecewiseRatePlan(split_windows(sched), (1.0,) * 3)
+    def fake_search(service, theta, active, settings, _cache=None):
+        return 1.0
 
     def fake_evaluate(plan, schedule, service, theta, settings):
         rows = []
@@ -289,9 +289,11 @@ def test_escalation_exhausts_budget_with_violations(monkeypatch):
             rows.append((eta, k, 0.3, schedule.probabilities[k], False))
         return rows
 
+    monkeypatch.setattr(opt_mod, "stationary_rate_search", fake_search)
     monkeypatch.setattr(opt_mod, "evaluate_plan", fake_evaluate)
     settings = OptimizerSettings(eps=0.05, ite_max=4)
-    res = opt_mod._refine(sched, Exponential(1.0), 1.0, settings, fake_build)
+    res = opt_mod._refine(sched, Exponential(1.0), 1.0, settings,
+                          opt_mod._windows(sched))
     assert not res.feasible
     assert res.rounds == 4
     assert res.plan is not None
@@ -323,3 +325,6 @@ def test_settings_validation():
         OptimizerSettings(ite_max=0)
     with pytest.raises(ConfigError):
         OptimizerSettings(eta_spacing=-0.5)
+    for grid_n in ("500", 500.5, True, 1):
+        with pytest.raises(ConfigError):
+            OptimizerSettings(grid_n=grid_n)

@@ -331,6 +331,18 @@ def test_pdf_gamma_tail_stays_nonnegative():
         assert aoi_pdf_stationary(model, x) >= -1e-9
 
 
+@pytest.mark.parametrize("x", [100.0, 300.0, 1000.0])
+@pytest.mark.parametrize("svc", [Exponential(1.2), Uniform(0.0, 2 / 1.2),
+                                 Erlang(5, 1 / 6)], ids=["exp", "uni", "erlang"])
+def test_no_preemption_far_tail(svc, x):
+    # this far out 1 - Phi(x) and the density are below 1e-40 and M(x) has
+    # reached M(inf); a 64-node panel spanning [0, x] is too coarse to see it
+    model = StationaryModel(1.6, svc, 0.0)
+    assert 1.0 - aoi_cdf_stationary(model, x) <= 1e-12
+    assert abs(aoi_pdf_stationary(model, x)) <= 1e-12
+    assert abs(m_x_stationary(model, x) - m_infinity(model)) <= 1e-12
+
+
 def test_model_validation():
     with pytest.raises(ConfigError):
         StationaryModel(0.0, Exponential(1.0), 0.5)
