@@ -9,16 +9,32 @@ with e_ij = exp(-weight * (Lam[i] - Lam[j])) <= 1 on an equally spaced
 grid, Lam the cumulative arrival rate at the nodes and S_0 = 0: the service
 kernel is integrated exactly against each hat function of c e v.
 
-Rows are handled in blocks of at most _BLOCK weights, so memory stays
-bounded on long grids while each block is one vectorised numpy product.
+The weight factors at an anchor row a (Hairer, Lubich & Schlichte, SIAM J.
+Sci. Stat. Comput. 6(3), 1985),
+
+    e_ij = exp(-weight (Lam[i] - Lam[a])) * exp(weight (Lam[j] - Lam[a])),
+
+so over the rows i of a block anchored at its first row, S_i is the row
+factor times a convolution of omega with c * col * v: one np.convolve per
+block, O(m^2) multiply-adds in C, no m-by-block weight array and no exp per
+weight. A block ends before weight * (Lam[i] - Lam[a]) passes _CAP, so no
+factor overflows on any grid: the row factor is <= 1, the column factor
+<= 1 before the block and <= e^_CAP inside it. The factors' rounding grows
+like _CAP * 2^-52 relative, which keeps _CAP small; ending a block early
+costs a Python step, not more arithmetic.
+
+history takes blocks limited by the cap alone, so one block whenever
+weight * (Lam[-1] - Lam[0]) <= _CAP. march takes blocks of at most _ROWS
+rows and solves each directly: the nodes before the block enter through
+the convolution, its own nodes through its lower-triangular weights.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quad import gauss_panels
 
-_BLOCK = 1 << 15
+_CAP = 32.0
+_ROWS = 32
 
 
 def moments(service, h, n):
@@ -49,70 +65,74 @@ def moments(service, h, n):
     return dict(zip(("F", "1-F", "dF", "1"), zip(omega, rho)))
 
 
-def _row_blocks(c, weights, Lam, weight):
-    """Yield (i0, i1, W) with W[r, j] the weight of v[j] in S_{i0+r}, for
-    j < i1 (zero above the diagonal)."""
-    omega, rho = weights
+def _blocks(Lam, weight, rows):
+    """Yield (a, i1, row, col) for consecutive row blocks a..i1-1 of at most
+    `rows` rows, each ending before weight * (Lam[i] - Lam[a]) passes _CAP,
+    with the factors row[r] = exp(-weight (Lam[a+r] - Lam[a])) and
+    col[j] = exp(weight (Lam[j] - Lam[a])) for j < i1."""
     n = Lam.size
-    rows = max(1, _BLOCK // n)
-    # u[n-1-d] = omega[d] for d >= 0 and 0 for d < 0: row i of the Toeplitz
-    # weights omega[i-j] is window n-1-i of u
-    u = np.concatenate([omega[n - 1::-1], np.zeros(n)])
-    windows = sliding_window_view(u, n)
-    for i0 in range(0, n, rows):
-        i1 = min(n, i0 + rows)
-        kern = windows[n - i1:n - i0][::-1, :i1]
-        if weight:
-            W = Lam[:i1] - Lam[i0:i1, None]
-            # clamped above the diagonal, where the weights are zero anyway
-            np.minimum(W, 0.0, out=W)
-            W *= weight
-            np.exp(W, out=W)
-            first = W[:, 0] * rho[i0:i1]
-            W *= kern
-        else:
-            W = kern.copy()
-            first = rho[i0:i1]
-        W[:, 0] = first
-        W *= c[:i1]
-        if i0 == 0:
-            W[0] = 0.0
-        yield i0, i1, W
+    a = 0
+    while a < n:
+        end = np.searchsorted(Lam, Lam[a] + _CAP / weight, "right") if weight else n
+        i1 = max(a + 1, min(a + rows, end))
+        d = weight * (Lam[:i1] - Lam[a])
+        yield a, i1, np.exp(-d[a:]), np.exp(d)
+        a = i1
 
 
 def history(c, weights, Lam, weight):
     """S_i(1) for every node i."""
+    omega, rho = weights
     out = np.empty(Lam.size)
-    for i0, i1, W in _row_blocks(c, weights, Lam, weight):
-        out[i0:i1] = W.sum(axis=1)
+    for a, i1, row, col in _blocks(Lam, weight, Lam.size):
+        g = c[:i1] * col
+        # sum_{j <= i} omega[i-j] g[j] for the rows i of the block: the
+        # zeros in front start the valid range at row a
+        s = np.convolve(omega[:i1], np.concatenate((np.zeros(i1 - a - 1), g)),
+                        "valid")
+        out[a:i1] = row * (s + (rho[a:i1] - omega[a:i1]) * g[0])
+    out[0] = 0.0
     return out
 
 
 def march(base, c, weights, Lam, weight, alpha, beta):
     """Solve w_i = base_i + S_i(alpha * w + beta) by an implicit march.
 
-    S_i depends on w_i only through its diagonal term, so each node is
-    solved in closed form from the nodes before it,
-    w_i = (base_i + known terms) / (1 - alpha * omega[0] * c[i]).
-    The caller keeps that denominator away from 0.
+    Blocks of _ROWS nodes are solved in order: the nodes before a block
+    enter through one convolution, and the block's own nodes through its
+    lower-triangular weights, so each block is one linear solve,
+    (I - alpha * own) w_blk = known + own @ beta_blk, and none at
+    alpha = 0, where the equation is explicit. The diagonal of I - alpha * own
+    is 1 - alpha * omega[0] * c[i]; the caller keeps it away from 0.
 
     Returns (w, residual): the sup-norm of base + S(alpha * w + beta) - w,
     the discrete equation evaluated again at the solution.
     """
+    omega, rho = weights
     n = Lam.size
+    k = min(n, _ROWS)
+    lag = np.arange(k)[:, None] - np.arange(k)
+    toeplitz = np.tril(omega[np.abs(lag)])  # omega[r - s] on and below the diagonal
+    eye = np.eye(k)
+    edge = rho - omega  # node 0 carries rho in place of omega
     w = np.empty(n)
-    a = np.empty(n)  # alpha * w + beta on the nodes solved so far
-    residual = 0.0
-    for i0, i1, W in _row_blocks(c, weights, Lam, weight):
-        blk = slice(i0, i1)
-        own = W[:, i0:i1]  # weights of the block's own nodes
-        rhs = base[blk] + W[:, :i0] @ a[:i0] + own @ beta[blk]
-        A = alpha * own
-        wb = w[blk]
-        for r in range(i1 - i0):
-            wb[r] = (rhs[r] + A[r, :r] @ wb[:r]) / (1.0 - A[r, r])
-        a[blk] = alpha * wb + beta[blk]
-        # np.maximum keeps a NaN residual, so a blown-up solve cannot pass
-        residual = np.maximum(residual,
-                              np.max(np.abs(base[blk] + W @ a[:i1] - w[blk])))
-    return w, float(residual)
+    v = np.empty(n)  # alpha * w + beta on the nodes solved so far
+    err = np.empty(n)
+    for a, i1, row, col in _blocks(Lam, weight, _ROWS):
+        blk = slice(a, i1)
+        r = i1 - a
+        own = row[:, None] * toeplitz[:r, :r] * (c[blk] * col[a:])
+        known = base[blk]
+        if a:
+            g = c[:a] * col[:a] * v[:a]
+            known = known + row * (np.convolve(omega[1:i1], g, "valid")
+                                   + edge[blk] * g[0])
+        else:
+            own[:, 0] += row * edge[:r] * c[0]
+            own[0] = 0.0  # S_0 = 0
+        rhs = known + own @ beta[blk]
+        w[blk] = np.linalg.solve(eye[:r, :r] - alpha * own, rhs) if alpha else rhs
+        v[blk] = alpha * w[blk] + beta[blk]
+        err[blk] = known + own @ v[blk] - w[blk]
+    # np.max keeps a NaN, so a blown-up solve cannot pass
+    return w, float(np.max(np.abs(err)))

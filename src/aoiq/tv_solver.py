@@ -12,9 +12,10 @@ integrated exactly from the service CDF (`_kernels.moments`):
 
 Plus the negligible-processing closed forms where service time is ~0.
 
-The idle-curve and Phi-hat equations are linear in the unknown at each
-node, so one implicit march solves every node in closed form (Linz,
-Analytical and Numerical Methods for Volterra Equations, SIAM 1985, ch. 7).
+The idle-curve and Phi-hat equations are linear in the unknowns, so one
+implicit march solves them directly, 32 nodes per linear solve (Linz,
+Analytical and Numerical Methods for Volterra Equations, SIAM 1985, ch. 7);
+the explicit sums are one convolution per diagonal (`_kernels`).
 The grid is the only accuracy setting: the discrete equations are
 evaluated again at the solution, which leaves a roundoff residual, and a
 residual above SolverSettings.etol = 1e-8 raises ConvergenceError.
@@ -97,6 +98,12 @@ def _grid_count(settings, T):
     return max(2, math.ceil(T / _STEP - 1e-12))
 
 
+def _require_cover(idle, t):
+    if idle.horizon < t - 1e-9 * max(1.0, t):
+        raise ConfigError(
+            f"idle curve horizon {idle.horizon} does not cover t={t}")
+
+
 def _certify(residual, label):
     if not residual <= SolverSettings.etol:
         raise ConvergenceError(
@@ -157,9 +164,11 @@ def kernel_gz(config, idle, t, y):
 
     Product-integration evaluation of int_{z in (0, y]} lambda(t-z)
     (theta + (1-theta) M(t-z, inf)) exp(-theta int_{t-z}^t lambda) dF(z).
+    Raises ConfigError when the idle curve does not cover t.
     """
     if y < 0 or t < y:
         raise ValueError(f"kernel_gz needs t >= y >= 0, got t={t}, y={y}")
+    _require_cover(idle, t)
     if y == 0:
         return 0.0
     _, _, Lam, c, mom = _diagonal_arrays(config, idle, t - y, y)
@@ -178,9 +187,11 @@ def m_tx(config, idle, t, x):
 
     Piecewise: equals the idle value for 0 <= t < x, else the trapezoid
     evaluation of int_{t-x}^{t} G_z(r, x-t+r, 0) exp(-int_r^t lambda) dr.
+    Raises ConfigError when the idle curve does not cover t.
     """
     if t < 0 or x < 0:
         raise ValueError(f"m_tx needs t, x >= 0, got t={t}, x={x}")
+    _require_cover(idle, t)
     if t < x:
         return float(idle(t))
     if x == 0:
@@ -204,8 +215,9 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     A precomputed IdleProbabilityCurve covering [0, t] can be shared across
     (t, x) queries via `idle`.
 
-    Raises ConfigError when the grid is too coarse for the implicit step:
-    h * lambda_max * theta must stay below 1.
+    Raises ConfigError when `idle` does not cover t, and when the grid is
+    too coarse for the implicit step: h * lambda_max * theta must stay
+    below 1.
     """
     if t < 0 or x < 0:
         raise ValueError(f"aoi_cdf_tv needs t, x >= 0, got t={t}, x={x}")
@@ -220,9 +232,8 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
             f"settings.horizon {settings.horizon} is below the evaluation time {t}")
     if idle is None:
         idle = solve_idle_prob(config, replace(settings, horizon=settings.horizon or t))
-    elif idle.horizon < t - 1e-9 * max(1.0, t):
-        raise ConfigError(
-            f"idle curve horizon {idle.horizon} does not cover t={t}")
+    else:
+        _require_cover(idle, t)
 
     u = t - x
     theta = config.theta

@@ -179,6 +179,16 @@ def test_cdf_rejects_short_idle_curve():
         aoi_cdf_tv(MM_CFG, 8.0, 1.0, idle=idle)
 
 
+def test_idle_curve_must_cover_t_in_every_entry_point():
+    idle = idle_for(MM_CFG, 5.0)
+    for call in (lambda: kernel_gz(MM_CFG, idle, 8.0, 2.0),
+                 lambda: m_tx(MM_CFG, idle, 8.0, 2.0),
+                 lambda: m_tx(MM_CFG, idle, 8.0, 9.0),
+                 lambda: aoi_cdf_tv(MM_CFG, 8.0, 2.0, idle=idle)):
+        with pytest.raises(ConfigError, match="does not cover t=8.0"):
+            call()
+
+
 def test_cdf_converges_to_stationary_no_preemption():
     idle = idle_for(MM_CFG, 40.0)
     for x in (0.5, 1.0, 2.5, 4.0):
@@ -222,32 +232,74 @@ def test_cdf_rejects_grid_too_coarse_for_implicit_step(grid_n):
         aoi_cdf_tv(cfg, 20.0, 10.0, SolverSettings(grid_n=grid_n))
 
 
-def _per_node_march(base, c, k, Lam, weight, h, alpha, beta):
-    """Reference: w_i = base_i + S_i(alpha w + beta), one node at a time."""
-    w = np.empty(base.size)
-    w[0] = base[0]
-    for i in range(1, base.size):
-        g = h * c[:i + 1] * k[i::-1] * np.exp(-weight * (Lam[i] - Lam[:i + 1]))
-        g[[0, i]] *= 0.5
-        known = base[i] + g[:i] @ (alpha * w[:i] + beta[:i]) + g[i] * beta[i]
-        w[i] = known / (1.0 - alpha * g[i])
-    return w
-
-
-@pytest.mark.parametrize("alpha", [-0.7, 0.4])
-def test_block_march_matches_per_node_march(monkeypatch, alpha):
-    monkeypatch.setattr(_kernels, "_BLOCK", 200)  # 3 rows per block
+def _sum_case():
+    """150 nodes, five 32-row blocks of the march, with omega = h k
+    (omega[0] = h / 2) and rho = h k / 2."""
     rng = np.random.default_rng(3)
-    n, h = 61, 0.05
+    n, h = 150, 0.05
     base, c, beta = rng.uniform(0.0, 1.0, (3, n))
     k = np.exp(-np.arange(n) * h)
     Lam = np.cumsum(rng.uniform(0.0, 2.0 * h, n))
     omega = h * k
     omega[0] *= 0.5
-    w, resid = _kernels.march(base, c, (omega, h * k / 2), Lam, 0.6, alpha, beta)
-    want = _per_node_march(base, c, k, Lam, 0.6, h, alpha, beta)
-    assert np.max(np.abs(w - want)) <= 1e-13
-    assert resid <= 1e-14
+    return base, c, beta, Lam, (omega, h * k / 2)
+
+
+def _dense_weights(c, Lam, weights, weight):
+    """W[i, j], the weight of v[j] in S_i, with one exp per entry."""
+    omega, rho = weights
+    lag = np.subtract.outer(np.arange(c.size), np.arange(c.size))
+    W = np.where(lag >= 0, omega[np.abs(lag)], 0.0)
+    W[:, 0] = rho
+    W[0] = 0.0  # S_0 = 0
+    return W * c * np.exp(-weight * np.subtract.outer(Lam, Lam).clip(min=0.0))
+
+
+def _per_node_march(base, W, alpha, beta):
+    """Reference: w_i = base_i + S_i(alpha w + beta), one node at a time."""
+    w = np.empty(base.size)
+    for i in range(base.size):
+        known = base[i] + W[i, :i] @ (alpha * w[:i] + beta[:i]) + W[i, i] * beta[i]
+        w[i] = known / (1.0 - alpha * W[i, i])
+    return w
+
+
+# at weight 40, weight * Lam spans about 300, so the blocks also end at the
+# cap on weight * (Lam[i] - Lam[a]), after about 16 rows
+WEIGHTS = (0.0, 0.6, 40.0)
+
+
+@pytest.mark.parametrize("alpha", [-0.7, 0.0, 0.4])
+def test_block_march_matches_per_node_march(alpha):
+    base, c, beta, Lam, weights = _sum_case()
+    for weight in WEIGHTS:
+        w, resid = _kernels.march(base, c, weights, Lam, weight, alpha, beta)
+        want = _per_node_march(base, _dense_weights(c, Lam, weights, weight),
+                               alpha, beta)
+        assert np.max(np.abs(w - want)) <= 1e-13
+        assert resid <= 1e-14
+
+
+def test_history_matches_dense_weight_sum():
+    _, c, _, Lam, weights = _sum_case()
+    for weight in WEIGHTS:
+        got = _kernels.history(c, weights, Lam, weight)
+        want = _dense_weights(c, Lam, weights, weight).sum(axis=1)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_weight_factors_stay_finite_past_the_exp_range():
+    # theta * Lam spans 800 over [0, 1], past exp's 709: factoring the
+    # weights at one anchor would overflow; the blocks re-anchor instead
+    lam, mu = 800.0, 1.0
+    cfg = SystemConfig(Constant(lam), Exponential(mu), 1.0)
+    idle = idle_for(cfg, 1.0, grid_n=8000)
+    p0 = mu / (lam + mu) + lam / (lam + mu) * np.exp(-(lam + mu) * idle.grid.ts)
+    assert np.max(np.abs(idle.grid.values - p0)) <= 1e-5
+    for y in (0.5, 1.0):
+        # (h lam)^2 / 12 interpolation error of the exponential, about 8e-4
+        want = lam * mu / (lam + mu) * -math.expm1(-(lam + mu) * y)
+        assert kernel_gz(cfg, idle, 1.0, y) == pytest.approx(want, abs=2e-3)
 
 
 # ---------------------------------------------------------------------------
