@@ -5,8 +5,7 @@ inversion, a validating discrete-event simulator, and a constrained
 sampling-rate optimizer.
 """
 
-from .errors import (ConfigError, ConvergenceError, InversionError,
-                     UnsupportedServiceError)
+from .errors import ConfigError, ConvergenceError, InversionError
 from .model import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                     Exponential, Deterministic, Uniform, Gamma, Erlang,
                     SystemConfig, GridFunction, rate_at, is_nbu,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError", "ConvergenceError", "InversionError",
-    "UnsupportedServiceError",
     "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
     "Exponential", "Deterministic", "Uniform", "Gamma", "Erlang",
     "SystemConfig", "GridFunction", "rate_at",

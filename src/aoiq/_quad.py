@@ -3,15 +3,24 @@
 One primitive, `gauss_panels`, integrates a vectorized f over every panel
 of an edge list with a single call of f on the (panels x nodes) array that
 `gauss_nodes` lays out; `composite_gauss` sums its 64-node form over the
-segments between breakpoints. The stationary paths and the
-negligible-processing mean use 64 nodes, the Volterra solvers' product
-weights 2 per grid cell.
+segments between breakpoints. `graded_nodes` is the Gauss rule after the
+substitution s = l t^4, for an end where the integrand behaves like s^k.
+The stationary route uses 64 nodes per panel of [0, x] with 32 graded
+nodes at either end, and 8 nodes per piece of its march; the
+negligible-processing mean uses 64, the Volterra solvers' product weights
+2 per grid cell.
 """
 
 import numpy as np
 
 # (nodes, weights) of the Gauss-Legendre rules, each built on first use
 _RULES = {}
+
+
+def _rule(npts):
+    if npts not in _RULES:
+        _RULES[npts] = np.polynomial.legendre.leggauss(npts)
+    return _RULES[npts]
 
 
 def split_points(a, b, breakpoints):
@@ -27,13 +36,21 @@ def gauss_nodes(edges, npts):
     """(nodes, half, w) of the npts-node Gauss rule on each panel [edges[k],
     edges[k+1]]: row k of the (panels x npts) array `nodes` holds panel k's
     nodes, and half * (values @ w) are the panel integrals."""
-    if npts not in _RULES:
-        _RULES[npts] = np.polynomial.legendre.leggauss(npts)
-    x, w = _RULES[npts]
+    x, w = _rule(npts)
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + half[:, None] * x, half, w
+
+
+def graded_nodes(length, npts):
+    """(offsets, weights) of the npts-node Gauss rule on [0, length] after
+    the substitution s = length t^4, t in [0, 1]: the offsets crowd toward
+    0 like t^4 and the weights 4 length t^3 w carry the Jacobian, so an
+    integrand that behaves like s^k at 0 becomes smooth in t."""
+    x, w = _rule(npts)
+    t = 0.5 * (x + 1.0)
+    return length * t ** 4, 2.0 * length * t ** 3 * w
 
 
 def gauss_panels(f, edges, npts):
@@ -51,9 +68,3 @@ def composite_gauss(f, a, b, breakpoints=()):
     if b <= a:
         return 0.0
     return float(np.sum(gauss_panels(f, split_points(a, b, breakpoints), 64)))
-
-
-def geometric_ladder(b):
-    """Extra split points in (0, b) clustered toward 0, where an integrand
-    may be non-smooth (F(v) ~ v^shape for Gamma service)."""
-    return tuple(b * u for u in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1))

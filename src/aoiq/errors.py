@@ -9,11 +9,6 @@ class ConfigError(ValueError):
     """Invalid model parameters, schedules, or config files."""
 
 
-class UnsupportedServiceError(ConfigError):
-    """The density of a service law that has none was asked for
-    (Deterministic.pdf); no solver reads a density."""
-
-
 class ConvergenceError(RuntimeError):
     """A finite-time solve left a residual of its discrete equations above
     the constant bound SolverSettings.etol = 1e-8. The march's residual is

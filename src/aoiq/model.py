@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaincc
 
-from .errors import ConfigError, UnsupportedServiceError
+from .errors import ConfigError
 
 __all__ = [
     "RateProfile", "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
@@ -245,9 +245,10 @@ class Tabulated(RateProfile):
 # ---------------------------------------------------------------------------
 
 class ServiceDistribution:
-    """Processing-time law: CDF F, density f (where it exists), LST
-    F~(s) = E[e^{-sS}], mean, and a sampler. The solvers read F and the
-    LST only; f serves as a reference."""
+    """Processing-time law: CDF F, survival function 1 - F, integrated
+    tail int_x^inf (1 - F(z)) dz = E[(S - x)^+], LST F~(s) = E[e^{-sS}],
+    mean, and a sampler. No solver reads a density, and the laws define
+    none."""
 
     kind = "abstract"
 
@@ -258,7 +259,10 @@ class ServiceDistribution:
     def cdf(self, z):
         raise NotImplementedError
 
-    def pdf(self, z):
+    def sf(self, z):
+        raise NotImplementedError
+
+    def tail(self, x):
         raise NotImplementedError
 
     def lst(self, s):
@@ -268,7 +272,7 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def breakpoints(self):
-        """Points where F or f is not smooth, for quadrature splitting."""
+        """Points where F is not smooth, for quadrature splitting."""
         return ()
 
 
@@ -290,9 +294,14 @@ class Exponential(ServiceDistribution):
         out = np.where(z > 0, -np.expm1(-self.mu * np.maximum(z, 0.0)), 0.0)
         return out if out.ndim else float(out)
 
-    def pdf(self, z):
+    def sf(self, z):
         z = np.asarray(z, dtype=float)
-        out = np.where(z >= 0, self.mu * np.exp(-self.mu * np.maximum(z, 0.0)), 0.0)
+        out = np.exp(-self.mu * np.maximum(z, 0.0))
+        return out if out.ndim else float(out)
+
+    def tail(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.exp(-self.mu * np.maximum(x, 0.0)) / self.mu + np.maximum(-x, 0.0)
         return out if out.ndim else float(out)
 
     def lst(self, s):
@@ -320,8 +329,14 @@ class Deterministic(ServiceDistribution):
         out = np.where(z >= self.d, 1.0, 0.0)
         return out if out.ndim else float(out)
 
-    def pdf(self, z):
-        raise UnsupportedServiceError("deterministic service has no density")
+    def sf(self, z):
+        z = np.asarray(z, dtype=float)
+        out = np.where(z >= self.d, 0.0, 1.0)
+        return out if out.ndim else float(out)
+
+    def tail(self, x):
+        out = np.maximum(self.d - np.asarray(x, dtype=float), 0.0)
+        return out if out.ndim else float(out)
 
     def lst(self, s):
         return np.exp(-self.d * s)
@@ -365,10 +380,17 @@ class Uniform(ServiceDistribution):
         out = np.clip((z - self.low) / (self.high - self.low), 0.0, 1.0)
         return out if out.ndim else float(out)
 
-    def pdf(self, z):
+    def sf(self, z):
         z = np.asarray(z, dtype=float)
-        out = np.where((z >= self.low) & (z <= self.high),
-                       1.0 / (self.high - self.low), 0.0)
+        out = np.clip((self.high - z) / (self.high - self.low), 0.0, 1.0)
+        return out if out.ndim else float(out)
+
+    def tail(self, x):
+        # (high - x)^2 / (2 (high - low)) on the support, plus the whole
+        # low - x below it, where the survival function is 1
+        x = np.asarray(x, dtype=float)
+        inside = self.high - np.clip(x, self.low, self.high)
+        out = inside * inside / (2.0 * (self.high - self.low)) + np.maximum(self.low - x, 0.0)
         return out if out.ndim else float(out)
 
     def lst(self, s):
@@ -410,12 +432,18 @@ class Gamma(ServiceDistribution):
         out = np.where(z > 0, out, 0.0)
         return out if out.ndim else float(out)
 
-    def pdf(self, z):
+    def sf(self, z):
         z = np.asarray(z, dtype=float)
-        zpos = np.maximum(z, 1e-300)
-        logpdf = ((self.shape - 1.0) * np.log(zpos / self.scale)
-                  - zpos / self.scale - gammaln(self.shape)) - np.log(self.scale)
-        out = np.where(z > 0, np.exp(logpdf), 0.0)
+        out = gammaincc(self.shape, np.maximum(z, 0.0) / self.scale)
+        return out if out.ndim else float(out)
+
+    def tail(self, x):
+        # E[(S - x)^+] = shape scale Q(shape + 1, x/scale) - x Q(shape, x/scale)
+        # for x >= 0, Q the regularized upper incomplete gamma function
+        x = np.asarray(x, dtype=float)
+        xp = np.maximum(x, 0.0)
+        out = (self.mean * gammaincc(self.shape + 1.0, xp / self.scale)
+               - xp * gammaincc(self.shape, xp / self.scale) + np.maximum(-x, 0.0))
         return out if out.ndim else float(out)
 
     def lst(self, s):
@@ -512,8 +540,8 @@ def is_nbu(dist):
     predicate."""
     span = 5.0 * dist.mean
     g = np.linspace(0.0, span, _NBU_POINTS)
-    sf = 1.0 - np.asarray(dist.cdf(g))
-    sum_sf = 1.0 - np.asarray(dist.cdf(g[:, None] + g[None, :]))
+    sf = np.asarray(dist.sf(g))
+    sum_sf = np.asarray(dist.sf(g[:, None] + g[None, :]))
     return bool(np.all(sum_sf <= sf[:, None] * sf[None, :] + _NBU_TOL))
 
 

@@ -7,16 +7,21 @@ neither reads a service density:
   form, so s=0 is regular) inverted numerically with Euler-summation
   acceleration of the Bromwich series.
 * theta = 0: the convolution
-  T[g](x) = g(x) + lambda int_0^x g(s) (1 - F(x-s)) ds
-  gives the CDF as T[M] and the PDF as T[M'], M' = lambda (M(inf) F - M)
-  (T commutes with d/dx because M(0) = 0).
+  T[g](x) = g(x) + lambda int_0^x g(s) S(x-s) ds,  S = 1 - F,
+  in survival form. With D = M(inf) - M,
+  1 - Phi(x) = T[D](x) + lambda M(inf) int_x^inf S(z) dz and the PDF is
+  T[M'], M' = lambda (D - M(inf) S) (T commutes with d/dx because
+  M(0) = 0). Every term of 1 - Phi is >= 0, so the tail keeps its
+  relative accuracy and the CDF cannot fall by roundoff; below the
+  service's support (S(x) = 1) both are exactly 0.
 
-M(x) = P(idle, AoI <= x), for every theta, comes from one march over
-sorted knots (0, the service breakpoints and every point asked for) with
-all piece integrals of F from one call of the Gauss panel rule, so each
-convolution evaluates M at x and at all of its quadrature nodes in one
-pass. No panel over [0, x] is longer than 16 (E[S] + 1/lambda), so the
-tail stays resolved at any x.
+T runs on one outer rule over [0, x]: 64-node Gauss panels no longer than
+16 (E[S] + 1/lambda), split at the service breakpoints b and at x - b,
+with the first and last quarter of the end panels on 32 nodes graded like
+t^4 toward 0 and x, where S may behave like v^shape. One march over the
+rule's nodes gives D (and M, for m_x_stationary at every theta) at x and
+at every node: 8 Gauss nodes per piece between neighbouring knots, and
+the recurrence over the pieces as anchored cumulative sums.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -29,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_nodes, gauss_panels, geometric_ladder, split_points
+from ._kernels import _CAP
+from ._quad import gauss_nodes, graded_nodes, split_points
 from .errors import ConfigError, InversionError
 
 __all__ = [
@@ -58,8 +64,13 @@ _EULER_WEIGHTS = np.array([math.comb(_EULER_STAGES, j)
 # relative threshold for the lambda ~ mu limit branches
 _EQ_RATE_DELTA = 1e-6
 # M and the convolution integrand change on the scale E[S] + 1/lambda; 64
-# nodes resolve them on panels up to _PANEL_SCALE times that long
+# nodes resolve them on panels up to _PANEL_SCALE times that long, and
+# 32 nodes graded like t^4 resolve the ends. The march's pieces lie
+# between neighbouring nodes of that rule, so 8 nodes resolve each.
 _PANEL_SCALE = 16
+_PANEL_NODES = 64
+_END_NODES = 32
+_PIECE_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -92,52 +103,83 @@ def m_infinity(model):
     return th * fl / (1.0 - (1.0 - th) * fl)
 
 
-def _m(model, s):
-    """M at points s of any order and shape, marched over the knots
-    {0, max(s, 0), service breakpoints below max s}. Integrating the density
-    form by parts leaves only F:
-        M(x) = c lam int_0^x F(v) e^{-lam theta v}
-                             (theta + (1-theta) e^{-lam (x-v)}) dv,
-    c = theta + (1-theta) M(inf). The theta part is a cumsum of piece
-    integrals; the other part is marched as
-        B(b) = B(a) e^{-lam (b-a)}
-               + int_a^b F(v) e^{-lam theta v} e^{-lam (b-v)} dv,
-    with both piece integrals from one panel call."""
-    lam, th = model.lam, model.theta
-    s = np.maximum(np.asarray(s, dtype=float), 0.0)
-    top = float(np.max(s, initial=0.0))
-    bps = [b for b in model.service.breakpoints() if b < top]
-    knots = np.unique(np.concatenate([[0.0], s.ravel(), bps]))
-    ends = knots[1:, None]
-
-    def integrands(v):
-        weighted = model.service.cdf(v) * np.exp(-lam * th * v)
-        return np.stack([weighted, weighted * np.exp(-lam * (ends - v))])
-
-    flat, pieces = gauss_panels(integrands, knots, 64)
-    decay = np.exp(-lam * np.diff(knots))
-    scale = (th + (1.0 - th) * m_infinity(model)) * lam
-    m = np.zeros(knots.size)
-    for k in range(pieces.size):
-        m[k + 1] = m[k] * decay[k] + scale * (1.0 - th) * pieces[k]
-    m[1:] += scale * th * np.cumsum(flat)
-    return m[np.searchsorted(knots, s)]
+def _abscissa(x):
+    """x as a float; an AoI value must be finite."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ConfigError(f"AoI abscissa x must be finite, got {x}")
+    return x
 
 
-def _panel_edges(model, x, splits=()):
-    """Sorted edges of [0, x]: the interior split points plus an even grid
-    of panels no longer than _PANEL_SCALE (E[S] + 1/lam)."""
+def _outer_rule(model, x):
+    """(nodes, weights) on [0, x]. Panels of at most
+    _PANEL_SCALE (E[S] + 1/lam), split at every service breakpoint b and at
+    x - b, carry _PANEL_NODES Gauss nodes each, except that the first and
+    the last quarter of the end panels carry _END_NODES nodes graded like
+    t^4 toward 0 and toward x, where S(v) and S(x - v) may behave like v^k
+    (Gamma shape k)."""
+    bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
     longest = _PANEL_SCALE * (model.service.mean + 1.0 / model.lam)
     even = np.linspace(0.0, x, math.ceil(x / longest) + 1)
-    return split_points(0.0, x, [*even, *splits])
+    edges = split_points(0.0, x, [*even, *bps, *(x - b for b in bps)])
+    first, last = 0.25 * (edges[1] - edges[0]), 0.25 * (edges[-1] - edges[-2])
+    inner, half, w = gauss_nodes([first, *edges[1:-1], x - last], _PANEL_NODES)
+    head, head_w = graded_nodes(first, _END_NODES)
+    end, end_w = graded_nodes(last, _END_NODES)
+    nodes = np.concatenate((head, inner.ravel(), x - end))
+    weights = np.concatenate((head_w, (half[:, None] * w).ravel(), end_w))
+    return nodes, weights
+
+
+def _march(model, s, g):
+    """(E, C) at the points s, for E(k) = int_0^k g(v) e^{-lam (k-v)} dv and
+    C(k) = int_0^k g(v) dv, marched over the knots {0, s, service
+    breakpoints below max s}. The pieces between neighbouring knots get
+    _PIECE_NODES Gauss nodes each, all from one call of g, and the
+    recurrence E(b) = E(a) e^{-lam (b-a)} + piece runs as anchored
+    cumulative sums in blocks of knots at most _CAP / lam long (as in
+    _kernels), so no factor overflows and the pieces of a g >= 0 add
+    without cancellation."""
+    lam = model.lam
+    top = float(np.max(s))
+    bps = [b for b in model.service.breakpoints() if 0.0 < b < top]
+    knots = np.unique(np.concatenate(([0.0], s, bps)))
+    nodes, half, w = gauss_nodes(knots, _PIECE_NODES)
+    vals = g(nodes)
+    flat = np.concatenate(([0.0], np.cumsum(half * (vals @ w))))
+    pieces = half * ((vals * np.exp(-lam * (knots[1:, None] - nodes))) @ w)
+    decayed = np.zeros(knots.size)
+    a = 0
+    while a < knots.size - 1:
+        i1 = max(a + 2, np.searchsorted(knots, knots[a] + _CAP / lam, "right"))
+        # anchored at the block's last knot: every factor is <= e^_CAP, and
+        # a single piece longer than _CAP / lam needs no factor at all
+        d = lam * (knots[a + 1:i1] - knots[a])
+        decayed[a + 1:i1] = (np.exp(-d) * decayed[a] + np.exp(d[-1] - d)
+                             * np.cumsum(pieces[a:i1 - 1] * np.exp(d - d[-1])))
+        a = i1 - 1
+    at = np.searchsorted(knots, s)
+    return decayed[at], flat[at]
 
 
 def m_x_stationary(model, x):
-    """Stationary M(x) = P(idle, AoI <= x) for every theta and service law;
-    the march is graded toward 0, where F(v) may behave like v^shape."""
+    """Stationary M(x) = P(idle, AoI <= x) for every theta and service law.
+    Integrating the density form by parts leaves only F:
+        M(x) = c lam int_0^x F(v) e^{-lam theta v}
+                             (theta + (1-theta) e^{-lam (x-v)}) dv,
+    c = theta + (1-theta) M(inf), marched over the nodes of the outer rule
+    on [0, x], which are graded toward 0, where F(v) may behave like
+    v^shape."""
+    x = _abscissa(x)
     if x <= 0:
         return 0.0
-    val = _m(model, [*geometric_ladder(x), *_panel_edges(model, x)])[-1]
+    lam, th = model.lam, model.theta
+    nodes, _ = _outer_rule(model, x)
+    decayed, flat = _march(
+        model, np.append(nodes, x),
+        lambda v: model.service.cdf(v) * np.exp(-lam * th * v))
+    c = th + (1.0 - th) * m_infinity(model)
+    val = c * lam * (th * flat[-1] + (1.0 - th) * decayed[-1])
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -204,31 +246,38 @@ def _euler_invert(fhat, x):
 # CDF / PDF
 # ---------------------------------------------------------------------------
 
-def _convolve(model, x, g):
-    """T[g](x) = g(x) + lam int_0^x g(s) (1 - F(x-s)) ds at theta = 0, for
-    g(model, s) = M or M', with g at x and at every Gauss node from one
-    march. The integrand kinks at each service breakpoint b (through g) and
-    at x - b (through F)."""
-    bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
-    nodes, half, w = gauss_nodes(
-        _panel_edges(model, x, bps + [x - b for b in bps]), 64)
-    vals = g(model, np.append(nodes, x))
-    inner = vals[:-1].reshape(nodes.shape) * (1.0 - model.service.cdf(x - nodes))
-    return float(vals[-1]) + model.lam * float(np.sum(half * (inner @ w)))
-
-
-def _m_prime(model, s):
-    """dM/dx = lam (M(inf) F - M) at theta = 0."""
-    return model.lam * (m_infinity(model) * model.service.cdf(s) - _m(model, s))
+def _convolve(model, x, density):
+    """T[g](x) = g(x) + lam int_0^x g(s) S(x-s) ds at theta = 0, S = 1 - F,
+    on the outer rule, for g = D = M(inf) - M (density False) or
+    g = M' = lam (D - M(inf) S) (density True). D comes from one march at
+    x and at every node,
+        D(s) = M(inf) [e^{-lam s} + lam int_0^s S(v) e^{-lam (s-v)} dv],
+    so every term of T[D] is >= 0."""
+    lam, svc = model.lam, model.service
+    minf = m_infinity(model)
+    nodes, weights = _outer_rule(model, x)
+    s = np.append(nodes, x)
+    decayed, _ = _march(model, s, svc.sf)
+    g = minf * (np.exp(-lam * s) + lam * decayed)
+    if density:
+        g = lam * (g - minf * svc.sf(s))
+    return float(g[-1]) + lam * float((g[:-1] * svc.sf(x - nodes)) @ weights)
 
 
 def aoi_cdf_stationary(model, x):
-    """P(AoI <= x) in steady state: T[M] at theta = 0, the inversion of
-    Phi~(s)/s for theta > 0."""
+    """P(AoI <= x) in steady state. theta = 0: the survival form
+        1 - Phi(x) = T[D](x) + lam M(inf) int_x^inf S(z) dz,
+    all terms >= 0, so the tail keeps its relative accuracy; theta > 0:
+    the inversion of Phi~(s)/s."""
+    x = _abscissa(x)
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        val = _convolve(model, x, _m)
+        # below the service's support S(x) = 1 and the AoI cannot be <= x
+        if model.service.sf(x) == 1.0:
+            return 0.0
+        val = 1.0 - (_convolve(model, x, False)
+                     + model.lam * m_infinity(model) * model.service.tail(x))
     else:
         val = _euler_invert(lambda s: aoi_lst(model, s) / s, x)
     return min(max(val, 0.0), 1.0)
@@ -239,10 +288,13 @@ def aoi_pdf_stationary(model, x):
     Phi~(s) for theta > 0. The inversion is known to lose accuracy near
     x = 0 when the true density does not vanish there; the CDF route is the
     primary contract."""
+    x = _abscissa(x)
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        return _convolve(model, x, _m_prime)
+        if model.service.sf(x) == 1.0:
+            return 0.0
+        return _convolve(model, x, True)
     return _euler_invert(lambda s: aoi_lst(model, s), x)
 
 

@@ -178,6 +178,16 @@ def test_bool_theta_is_a_config_error(tmp_path, capsys):
     assert expect_error_record(err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("x", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_non_finite_stationary_abscissa_is_a_config_error(tmp_path, capsys, theta, x):
+    doc = dict(MM_DOC, theta=theta, solve_stationary={"xs": [1.0, x], "pdf": True})
+    cfg = write_cfg(tmp_path, doc)
+    rc, out, err = run(capsys, ["solve-stationary", "--config", cfg])
+    assert rc == 2 and out == ""
+    assert expect_error_record(err)["error"] == "ConfigError"
+
+
 @pytest.mark.parametrize("key, value", [
     ("replications", True), ("replications", 20.0), ("seed", 3.7), ("seed", -1)])
 def test_non_integer_simulation_counts_are_config_errors(tmp_path, capsys, key, value):

@@ -7,7 +7,7 @@ from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
                   SystemConfig, GridFunction, rate_at, is_nbu,
                   rate_from_dict, service_from_dict, config_from_dict,
-                  ConfigError, UnsupportedServiceError)
+                  ConfigError)
 
 SQUARE = PiecewiseConstant((0.0, 3.0, 6.0, 9.0, 12.0),
                            (1.5, 0.5, 1.5, 0.5))
@@ -134,9 +134,10 @@ def test_deterministic_cdf_below_atom():
     assert Deterministic(1 / 1.2).cdf(1.0) == 1.0
 
 
-def test_deterministic_pdf_rejected():
-    with pytest.raises(UnsupportedServiceError):
-        Deterministic(1.0).pdf(0.5)
+def test_deterministic_survival_and_tail():
+    svc = Deterministic(1.5)
+    assert svc.sf(1.0) == 1.0 and svc.sf(1.5) == 0.0
+    assert svc.tail(0.5) == 1.0 and svc.tail(2.0) == 0.0
 
 
 @pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)

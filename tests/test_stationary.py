@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincc
 
 from aoiq import stationary
 from aoiq import (Exponential, Deterministic, Uniform, Gamma, Erlang,
@@ -11,7 +12,17 @@ from aoiq import (Exponential, Deterministic, Uniform, Gamma, Erlang,
                   m_x_stationary, aoi_lst, aoi_cdf_stationary,
                   aoi_pdf_stationary, closed_form_mm11, closed_form_md11,
                   closed_form_mm11_preemptive, check_dominance,
-                  ConfigError, InversionError, UnsupportedServiceError)
+                  ConfigError, InversionError)
+
+
+def density(svc, z):
+    """Closed-form service density at z > 0, for the laws that have one."""
+    if svc.kind == "exponential":
+        return svc.mu * math.exp(-svc.mu * z)
+    if svc.kind == "uniform":
+        return 1.0 / (svc.high - svc.low) if svc.low <= z <= svc.high else 0.0
+    k, sc = svc.shape, svc.scale  # gamma and erlang
+    return z ** (k - 1.0) * math.exp(-z / sc) / (math.gamma(k) * sc ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +153,8 @@ def test_m_x_with_preemption_matches_density_form(svc, theta, lam):
     c = theta + (1.0 - theta) * m_infinity(model)
     for x in (0.5, 2.0, 20.0, 100.0):
         want, _ = integrate.quad(
-            lambda z: c * svc.pdf(z) * (math.exp(-lam * theta * z)
-                                        - math.exp(-lam * theta * z - lam * (x - z))),
+            lambda z: c * density(svc, z) * (math.exp(-lam * theta * z)
+                                            - math.exp(-lam * theta * z - lam * (x - z))),
             0.0, x, points=[min(1.0, x / 2)], limit=400, epsabs=1e-14, epsrel=1e-13)
         assert m_x_stationary(model, x) == pytest.approx(want, abs=1e-10)
 
@@ -164,7 +175,7 @@ def test_m_x_with_preemption_matches_direct_quadrature(svc, tol):
     def gz(y):
         upper = y if kink is None else min(y, kink)
         val, _ = integrate.quad(
-            lambda r: c * svc.pdf(r) * math.exp(-lam * theta * r),
+            lambda r: c * density(svc, r) * math.exp(-lam * theta * r),
             0.0, upper, limit=200)
         return val
 
@@ -341,6 +352,92 @@ def test_no_preemption_far_tail(svc, x):
     assert 1.0 - aoi_cdf_stationary(model, x) <= 1e-12
     assert abs(aoi_pdf_stationary(model, x)) <= 1e-12
     assert abs(m_x_stationary(model, x) - m_infinity(model)) <= 1e-12
+
+
+def gamma_tail_form_reference(svc, lam, x):
+    """(CDF, PDF) at theta = 0 for Gamma service by nested quad of the
+    survival form, S(v) = Q(shape, v / scale):
+    1 - Phi = D(x) + lam int_0^x D(s) S(x-s) ds + lam M(inf) int_x^inf S,
+    PDF = M'(x) + lam int_0^x M'(s) S(x-s) ds, M' = lam (D - M(inf) S),
+    D(s) = M(inf) [e^{-lam s} + lam int_0^s S(v) e^{-lam (s-v)} dv]."""
+    minf = 1.0 / (1.0 + lam * svc.mean)
+    kw = dict(limit=200, epsabs=1e-15, epsrel=1e-12)
+
+    def sf(v):
+        return gammaincc(svc.shape, max(v, 0.0) / svc.scale)
+
+    @functools.cache
+    def d(s):
+        inner, _ = integrate.quad(lambda v: sf(v) * math.exp(-lam * (s - v)),
+                                  0.0, s, **kw)
+        return minf * (math.exp(-lam * s) + lam * inner)
+
+    def m_prime(s):
+        return lam * (d(s) - minf * sf(s))
+
+    conv = [integrate.quad(lambda s: g(s) * sf(x - s), 0.0, x, **kw)[0]
+            for g in (d, m_prime)]
+    tail, _ = integrate.quad(sf, x, math.inf, **kw)
+    cdf = 1.0 - (d(x) + lam * conv[0] + lam * minf * tail)
+    return cdf, m_prime(x) + lam * conv[1]
+
+
+@pytest.mark.parametrize("svc", [Gamma(1.2, 1 / 1.44), Gamma(1 / 1.2, 1.0)],
+                         ids=["shape1.2", "shape0.83"])
+@pytest.mark.parametrize("lam", [0.4, 1.6])
+def test_no_preemption_gamma_matches_nested_quadrature(svc, lam):
+    # F(v) ~ v^shape at 0 enters the convolution at both ends, through D at
+    # s = 0 and through S(x - s) at s = x
+    model = StationaryModel(lam, svc, 0.0)
+    for x in (1.0, 10.0, 40.0):
+        cdf, pdf = gamma_tail_form_reference(svc, lam, x)
+        assert aoi_cdf_stationary(model, x) == pytest.approx(cdf, abs=1e-10)
+        assert aoi_pdf_stationary(model, x) == pytest.approx(pdf, abs=1e-10)
+
+
+@pytest.mark.parametrize("service", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())
+def test_no_preemption_tail_is_monotone(service):
+    # 1 - Phi is computed from nonnegative terms, so Phi cannot fall by
+    # roundoff where it is within 1e-14 of 1
+    model = StationaryModel(1.6, service, 0.0)
+    cdfs = [aoi_cdf_stationary(model, x) for x in np.linspace(20.0, 1000.0, 50)]
+    assert np.all(np.diff(cdfs) >= 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.6])
+def test_no_preemption_exactly_zero_below_support(lam):
+    # no update is younger than the shortest service time
+    for svc, x in ((Deterministic(1.5), 0.5), (Uniform(0.5, 1.5), 0.3)):
+        model = StationaryModel(lam, svc, 0.0)
+        assert aoi_cdf_stationary(model, x) == 0.0
+        assert aoi_pdf_stationary(model, x) == 0.0
+
+
+def integrated_tail(svc, x):
+    """int_x^inf S(z) dz by quad, split where S is not smooth."""
+    cuts = [x, *(b for b in (0.0, *svc.breakpoints()) if b > x)]
+    kw = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    pieces = [integrate.quad(svc.sf, a, b, **kw)[0] for a, b in zip(cuts, cuts[1:])]
+    return sum(pieces) + integrate.quad(svc.sf, cuts[-1], math.inf, **kw)[0]
+
+
+@pytest.mark.parametrize("svc", [*FIG7_SERVICES.values(), Uniform(0.5, 1.5)],
+                         ids=[*FIG7_SERVICES.keys(), "uni-shifted"])
+def test_survival_function_and_integrated_tail(svc):
+    z = np.linspace(-1.0, 12.0, 1301)
+    np.testing.assert_allclose(svc.sf(z) + svc.cdf(z), 1.0, rtol=0, atol=1e-15)
+    for x in (-0.5, 0.0, 0.3, 1.0, 2.5, 10.0):
+        assert svc.tail(x) == pytest.approx(integrated_tail(svc, x), abs=1e-12)
+    assert svc.tail(0.0) == pytest.approx(svc.mean, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_non_finite_abscissa_is_a_config_error(theta, x):
+    model = StationaryModel(0.8, Gamma(1.2, 1 / 1.44), theta)
+    for fn in (aoi_cdf_stationary, aoi_pdf_stationary, m_x_stationary):
+        with pytest.raises(ConfigError):
+            fn(model, x)
 
 
 def test_model_validation():
