@@ -24,8 +24,9 @@ like _CAP * 2^-52 relative, which keeps _CAP small; ending a block early
 costs a Python step, not more arithmetic.
 
 history takes blocks limited by the cap alone, so one block whenever
-weight * (Lam[-1] - Lam[0]) <= _CAP. march takes blocks of at most _ROWS
-rows and solves each directly: the nodes before the block enter through
+weight * (Lam[-1] - Lam[0]) <= _CAP. march returns an explicit equation
+(alpha = 0) as one history sum; an implicit one it solves in blocks of at
+most _ROWS rows, each directly: the nodes before the block enter through
 the convolution, its own nodes through its lower-triangular weights.
 """
 
@@ -96,18 +97,23 @@ def history(c, weights, Lam, weight):
 
 
 def march(base, c, weights, Lam, weight, alpha, beta):
-    """Solve w_i = base_i + S_i(alpha * w + beta) by an implicit march.
+    """Solve w_i = base_i + S_i(alpha * w + beta).
 
-    Blocks of _ROWS nodes are solved in order: the nodes before a block
-    enter through one convolution, and the block's own nodes through its
-    lower-triangular weights, so each block is one linear solve,
-    (I - alpha * own) w_blk = known + own @ beta_blk, and none at
-    alpha = 0, where the equation is explicit. The diagonal of I - alpha * own
-    is 1 - alpha * omega[0] * c[i]; the caller keeps it away from 0.
+    At alpha = 0 the equation is explicit, w = base + S(beta): one history
+    sum, which the residual would only repeat, so the residual is 0, or NaN
+    when a value is not finite. Otherwise blocks of _ROWS nodes are solved in
+    order: the nodes before a block enter through one convolution, and the
+    block's own nodes through its lower-triangular weights, so each block
+    is one linear solve, (I - alpha * own) w_blk = known + own @ beta_blk.
+    The diagonal of I - alpha * own is 1 - alpha * omega[0] * c[i]; the
+    caller keeps it away from 0.
 
     Returns (w, residual): the sup-norm of base + S(alpha * w + beta) - w,
     the discrete equation evaluated again at the solution.
     """
+    if not alpha:
+        w = base + history(c * beta, weights, Lam, weight)
+        return w, 0.0 if np.isfinite(w).all() else np.nan
     omega, rho = weights
     n = Lam.size
     k = min(n, _ROWS)
@@ -131,7 +137,7 @@ def march(base, c, weights, Lam, weight, alpha, beta):
             own[:, 0] += row * edge[:r] * c[0]
             own[0] = 0.0  # S_0 = 0
         rhs = known + own @ beta[blk]
-        w[blk] = np.linalg.solve(eye[:r, :r] - alpha * own, rhs) if alpha else rhs
+        w[blk] = np.linalg.solve(eye[:r, :r] - alpha * own, rhs)
         v[blk] = alpha * w[blk] + beta[blk]
         err[blk] = known + own @ v[blk] - w[blk]
     # np.max keeps a NaN, so a blown-up solve cannot pass

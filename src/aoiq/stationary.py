@@ -17,11 +17,12 @@ neither reads a service density:
 
 T runs on one outer rule over [0, x]: 64-node Gauss panels no longer than
 16 (E[S] + 1/lambda), split at the service breakpoints b and at x - b,
-with the first and last quarter of the end panels on 32 nodes graded like
-t^4 toward 0 and x, where S may behave like v^shape. One march over the
-rule's nodes gives D (and M, for m_x_stationary at every theta) at x and
-at every node: 8 Gauss nodes per piece between neighbouring knots, and
-the recurrence over the pieces as anchored cumulative sums.
+with the first and last quarter of the end panels, at most 4 E[S] long,
+on 32 nodes graded like t^4 toward 0 and x, where S may behave like
+v^shape. One march over the rule's nodes gives D (and M, for
+m_x_stationary at every theta) at x and at every node: 8 Gauss nodes per
+piece between neighbouring knots, and the recurrence over the pieces as
+anchored cumulative sums.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -64,12 +65,14 @@ _EULER_WEIGHTS = np.array([math.comb(_EULER_STAGES, j)
 # relative threshold for the lambda ~ mu limit branches
 _EQ_RATE_DELTA = 1e-6
 # M and the convolution integrand change on the scale E[S] + 1/lambda; 64
-# nodes resolve them on panels up to _PANEL_SCALE times that long, and
-# 32 nodes graded like t^4 resolve the ends. The march's pieces lie
+# nodes resolve them on panels up to _PANEL_SCALE times that long. At the
+# ends S(v) and S(x - v) change on the scale E[S], so 32 nodes graded like
+# t^4 resolve at most _END_SCALE E[S] there. The march's pieces lie
 # between neighbouring nodes of that rule, so 8 nodes resolve each.
 _PANEL_SCALE = 16
 _PANEL_NODES = 64
 _END_NODES = 32
+_END_SCALE = 4
 _PIECE_NODES = 8
 
 
@@ -115,14 +118,16 @@ def _outer_rule(model, x):
     """(nodes, weights) on [0, x]. Panels of at most
     _PANEL_SCALE (E[S] + 1/lam), split at every service breakpoint b and at
     x - b, carry _PANEL_NODES Gauss nodes each, except that the first and
-    the last quarter of the end panels carry _END_NODES nodes graded like
-    t^4 toward 0 and toward x, where S(v) and S(x - v) may behave like v^k
-    (Gamma shape k)."""
+    the last quarter of the end panels, capped at _END_SCALE E[S], carry
+    _END_NODES nodes graded like t^4 toward 0 and toward x, where S(v) and
+    S(x - v) may behave like v^k (Gamma shape k)."""
     bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
     longest = _PANEL_SCALE * (model.service.mean + 1.0 / model.lam)
     even = np.linspace(0.0, x, math.ceil(x / longest) + 1)
     edges = split_points(0.0, x, [*even, *bps, *(x - b for b in bps)])
-    first, last = 0.25 * (edges[1] - edges[0]), 0.25 * (edges[-1] - edges[-2])
+    graded = _END_SCALE * model.service.mean
+    first = min(0.25 * (edges[1] - edges[0]), graded)
+    last = min(0.25 * (edges[-1] - edges[-2]), graded)
     inner, half, w = gauss_nodes([first, *edges[1:-1], x - last], _PANEL_NODES)
     head, head_w = graded_nodes(first, _END_NODES)
     end, end_w = graded_nodes(last, _END_NODES)
@@ -264,6 +269,13 @@ def _convolve(model, x, density):
     return float(g[-1]) + lam * float((g[:-1] * svc.sf(x - nodes)) @ weights)
 
 
+def _survival(model, x):
+    """1 - Phi(x) at theta = 0, T[D](x) + lam M(inf) int_x^inf S, to
+    relative accuracy, also where Phi(x) rounds to 1."""
+    return (_convolve(model, x, False)
+            + model.lam * m_infinity(model) * model.service.tail(x))
+
+
 def aoi_cdf_stationary(model, x):
     """P(AoI <= x) in steady state. theta = 0: the survival form
         1 - Phi(x) = T[D](x) + lam M(inf) int_x^inf S(z) dz,
@@ -276,8 +288,7 @@ def aoi_cdf_stationary(model, x):
         # below the service's support S(x) = 1 and the AoI cannot be <= x
         if model.service.sf(x) == 1.0:
             return 0.0
-        val = 1.0 - (_convolve(model, x, False)
-                     + model.lam * m_infinity(model) * model.service.tail(x))
+        val = 1.0 - _survival(model, x)
     else:
         val = _euler_invert(lambda s: aoi_lst(model, s) / s, x)
     return min(max(val, 0.0), 1.0)

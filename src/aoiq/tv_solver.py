@@ -12,12 +12,14 @@ integrated exactly from the service CDF (`_kernels.moments`):
 
 Plus the negligible-processing closed forms where service time is ~0.
 
-The idle-curve and Phi-hat equations are linear in the unknowns, so one
-implicit march solves them directly, 32 nodes per linear solve (Linz,
-Analytical and Numerical Methods for Volterra Equations, SIAM 1985, ch. 7);
-the explicit sums are one convolution per diagonal (`_kernels`).
-The grid is the only accuracy setting: the discrete equations are
-evaluated again at the solution, which leaves a roundoff residual, and a
+The idle-curve and Phi-hat equations are linear in the unknowns, so
+`_kernels.march` solves them directly (Linz, Analytical and Numerical
+Methods for Volterra Equations, SIAM 1985, ch. 7): an implicit one 32
+nodes per linear solve, an explicit one (the theta = 0 Phi-hat equation,
+the theta = 1 idle curve) as one convolution, like the explicit sums along
+a diagonal. The grid is the only accuracy setting: the discrete equations
+are evaluated again at the solution, which leaves a roundoff residual (0
+for an explicit equation, NaN for a value that is not finite), and a
 residual above SolverSettings.etol = 1e-8 raises ConvergenceError.
 """
 
@@ -51,7 +53,7 @@ class SolverSettings:
     grid_n: number of steps on [0, T]; None takes the fewest steps with
         h <= 0.01, whatever the service law.
     etol: a constant, the bound on the sup-norm residual of the discrete
-        equations; the march leaves a roundoff residual, far below it.
+        equations; the solve leaves a roundoff residual, far below it.
     """
 
     horizon: float | None = None

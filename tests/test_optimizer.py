@@ -193,6 +193,47 @@ def test_audit_solver_takes_the_schedule_horizon(monkeypatch):
     assert seen == [SolverSettings(horizon=8.0, grid_n=1600)]
 
 
+def test_audit_makes_one_scalar_query_per_node(monkeypatch):
+    # the benchmark's tracer swaps optimizer.aoi_cdf_tv and reads t, x and
+    # the idle curve of each call as scalars, by position or keyword
+    calls, phi = [], opt_mod.aoi_cdf_tv
+
+    def recorded(*args, **kwargs):
+        calls.append((args, kwargs))
+        return phi(*args, **kwargs)
+
+    monkeypatch.setattr(opt_mod, "aoi_cdf_tv", recorded)
+    sched = ConstraintSchedule((0.0, 4.0, 8.0), (1.0, 2.0), (0.5, 0.5))
+    plan = PiecewiseRatePlan(split_windows(sched), (2.0, 2.0, 2.0))
+    settings = OptimizerSettings()
+    rows = evaluate_plan(plan, sched, Exponential(1.0), 1.0, settings)
+    nodes = opt_mod._eta_nodes(sched, settings.eta_spacing)
+    assert len(calls) == len(rows) == len(nodes)
+    for (args, kwargs), (eta, k) in zip(calls, nodes):
+        t, x = args[1], args[2]
+        assert type(t) is float and type(x) is float
+        assert (t, x) == (eta, sched.thresholds[k])
+        assert kwargs["idle"].horizon == 8.0
+
+
+FIG8_SCHEDULE = ConstraintSchedule(
+    times=(0.0, 8.0, 16.0, 24.0, 32.0, 40.0, 48.0, 56.0),
+    thresholds=(7.5, 6.5, 4.5, 3.0, 4.5, 6.5, 7.5),
+    probabilities=(0.9,) * 7)
+
+
+def test_fig8_plan_is_pinned():
+    # the design case of the paper: a change to the solvers that moves
+    # this plan changes the reproduced figure
+    res = optimize_rates(Uniform(0.0, 4 / 3), FIG8_SCHEDULE)
+    grid = OptimizerSettings().rate_grid
+    assert res.feasible and res.rounds == 1 and res.theta == 0.0
+    assert res.plan.breakpoints == split_windows(FIG8_SCHEDULE)
+    assert res.plan.rates == tuple(grid[i] for i in (
+        19, 21, 21, 26, 26, 31, 31, 31, 26, 26, 21, 21, 19))
+    assert res.plan.cost == pytest.approx(35.93873019, abs=1e-8)
+
+
 def test_single_interval_end_to_end():
     # p must sit below the saturation level 1 - e^{-mu x} ~ 0.632
     sched = ConstraintSchedule((0.0, 10.0), (1.0,), (0.5,))

@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -393,6 +394,43 @@ def test_no_preemption_gamma_matches_nested_quadrature(svc, lam):
         cdf, pdf = gamma_tail_form_reference(svc, lam, x)
         assert aoi_cdf_stationary(model, x) == pytest.approx(cdf, abs=1e-10)
         assert aoi_pdf_stationary(model, x) == pytest.approx(pdf, abs=1e-10)
+
+
+def erlang_survival_reference(n, scale, lam, x):
+    """1 - Phi(x) at theta = 0 for Erlang(n, scale) service to 30 digits:
+    S(v) = e^{-mu v} sum_{k<n} (mu v)^k / k!, mu = 1/scale, so D has the
+    closed form
+    D(s) = M(inf) e^{-lam s} [1 + lam sum_k mu^k gamma(k+1, (mu-lam) s)
+                                    / (k! (mu-lam)^(k+1))]
+    and only the outer convolution is integrated, split near s = x where
+    S(x - s) concentrates it."""
+    with mpmath.workdps(30):
+        mu, lam, x = 1 / mpmath.mpf(scale), mpmath.mpf(lam), mpmath.mpf(x)
+        minf = 1 / (1 + lam * n / mu)
+        fact = [mpmath.factorial(k) for k in range(n)]
+
+        def sf(v):
+            return mpmath.exp(-mu * v) * sum((mu * v) ** k / fact[k] for k in range(n))
+
+        def d(s):
+            inner = sum(mu ** k * mpmath.gammainc(k + 1, 0, (mu - lam) * s)
+                        / (fact[k] * (mu - lam) ** (k + 1)) for k in range(n))
+            return minf * mpmath.exp(-lam * s) * (1 + lam * inner)
+
+        tail = sum(mpmath.gammainc(k + 1, mu * x) / fact[k] for k in range(n)) / mu
+        cuts = [0, *(x - dx for dx in (20, 5, 1) if dx < x), x]
+        conv = mpmath.quad(lambda s: d(s) * sf(x - s), cuts)
+        return float(d(x) + lam * conv + lam * minf * tail)
+
+
+@pytest.mark.parametrize("x", [40.0, 100.0])
+def test_no_preemption_erlang_tail_keeps_relative_accuracy(x):
+    # at lam = 0.4 the end panels are about 23 long, while S(x - s) decays
+    # on the scale E[S] = 0.83: graded nodes spread over a quarter panel
+    # left 1 - Phi(100) = 6.4e-18 only 4e-12 accurate
+    model = StationaryModel(0.4, Erlang(5, 1 / 6), 0.0)
+    want = erlang_survival_reference(5, 1 / 6, 0.4, x)
+    assert stationary._survival(model, x) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("service", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())

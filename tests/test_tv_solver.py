@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from aoiq import _kernels
+from aoiq import _kernels, tv_solver
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Exponential,
                   Deterministic, Uniform, Gamma, Erlang, SystemConfig,
                   SolverSettings, solve_idle_prob, kernel_gz, m_tx,
                   aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
                   StationaryModel, m_infinity, m_x_stationary, closed_form_mm11,
                   closed_form_md11, closed_form_mm11_preemptive,
-                  aoi_cdf_stationary, ConfigError, ConvergenceError)
+                  aoi_cdf_stationary, ConfigError, ConvergenceError,
+                  ConstraintSchedule, OptimizerSettings, PiecewiseRatePlan,
+                  split_windows)
 
 MM_CFG = SystemConfig(Constant(0.8), Exponential(1.2), 0.0)
 
@@ -300,6 +302,78 @@ def test_weight_factors_stay_finite_past_the_exp_range():
         # (h lam)^2 / 12 interpolation error of the exponential, about 8e-4
         want = lam * mu / (lam + mu) * -math.expm1(-(lam + mu) * y)
         assert kernel_gz(cfg, idle, 1.0, y) == pytest.approx(want, abs=2e-3)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0])
+def test_explicit_march_is_one_history_sum(alpha):
+    # -0.0 is the theta = 1 idle curve's alpha = -(1 - theta)
+    base, c, beta, Lam, weights = _sum_case()
+    for weight in WEIGHTS:
+        w, resid = _kernels.march(base, c, weights, Lam, weight, alpha, beta)
+        want = base + _kernels.history(c * beta, weights, Lam, weight)
+        np.testing.assert_array_equal(w, want)
+        assert resid == 0.0
+
+
+def test_explicit_march_flags_a_non_finite_value(monkeypatch):
+    base, c, beta, Lam, weights = _sum_case()
+    beta[40] = np.inf
+    with np.errstate(invalid="ignore"):
+        _, resid = _kernels.march(base, c, weights, Lam, 0.6, 0.0, beta)
+    assert not math.isfinite(resid)
+
+    # a blown-up joint block reaches the explicit theta = 0 Phi-hat march,
+    # whose residual then refuses the value
+    joint = tv_solver._joint_block
+
+    def blown(*args):
+        mx = joint(*args)
+        mx[mx.size // 2] = np.inf
+        return mx
+
+    monkeypatch.setattr(tv_solver, "_joint_block", blown)
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError):
+        aoi_cdf_tv(MM_CFG, 5.0, 2.0)
+
+
+def test_full_preemption_idle_curve_matches_per_node_march():
+    # theta = 1 makes the idle equation explicit, w = e^{-Lam} + S[lam F];
+    # Lam reaches about 34, so its history sum takes two blocks
+    cfg = SystemConfig(Sinusoid(1.7, 1.0, 1.8), Erlang(5, 1 / 6), 1.0)
+    n, T = 800, 20.0
+    idle = idle_for(cfg, T, grid_n=n)
+    ts = np.linspace(0.0, T, n + 1)
+    Lam = cfg.rate.integral(0.0, ts)
+    assert Lam[-1] > _kernels._CAP
+    lam = cfg.rate.rate(ts)
+    W = _dense_weights(lam, Lam, _kernels.moments(cfg.service, T / n, n)["F"], 1.0)
+    want = _per_node_march(np.exp(-Lam), W, 0.0, np.ones(n + 1))
+    assert np.max(np.abs(idle.grid.values - want)) <= 1e-14
+
+
+def _dense_phi(config, idle, t, x):
+    """Phi(t, x) with every history sum on dense weights and the Phi-hat
+    equation marched one node at a time."""
+    _, lam, Lam, c, mom = tv_solver._diagonal_arrays(config, idle, t - x, x)
+    gz = _dense_weights(c, Lam, mom["dF"], config.theta).sum(axis=1)
+    mx = _dense_weights(gz, Lam, mom["1"], 1.0).sum(axis=1)
+    theta = config.theta
+    W = _dense_weights(lam, Lam, mom["1-F"], theta)
+    return _per_node_march(mx, W, theta, (1.0 - theta) * mx)[-1]
+
+
+def test_no_preemption_phi_matches_dense_reference_at_fig8_audit_nodes():
+    # the fig-8 plan at theta = 0, where the Phi-hat equation is explicit
+    sched = ConstraintSchedule((0.0, 8.0, 16.0, 24.0, 32.0, 40.0, 48.0, 56.0),
+                               (7.5, 6.5, 4.5, 3.0, 4.5, 6.5, 7.5), (0.9,) * 7)
+    grid = OptimizerSettings().rate_grid
+    rates = [grid[i] for i in (19, 21, 21, 26, 26, 31, 31, 31, 26, 26, 21, 21, 19)]
+    plan = PiecewiseRatePlan(split_windows(sched), rates)
+    cfg = SystemConfig(plan.profile(), Uniform(0.0, 4 / 3), 0.0)
+    idle = idle_for(cfg, 56.0)
+    for eta, x in ((21.0, 4.5), (29.5, 3.0), (55.5, 7.5)):
+        got = aoi_cdf_tv(cfg, eta, x, idle=idle)
+        assert got == pytest.approx(_dense_phi(cfg, idle, eta, x), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
