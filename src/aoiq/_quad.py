@@ -6,9 +6,8 @@ of an edge list with a single call of f on the (panels x nodes) array that
 segments between breakpoints. `graded_nodes` is the Gauss rule after the
 substitution s = l t^4, for an end where the integrand behaves like s^k.
 The stationary route uses 64 nodes per panel of [0, x] with 32 graded
-nodes at either end, and 8 nodes per piece of its march; the
-negligible-processing mean uses 64, the Volterra solvers' product weights
-2 per grid cell.
+nodes at either end; the negligible-processing mean uses 64, the Volterra
+solvers' product weights 2 per grid cell.
 """
 
 import numpy as np

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaln, hyp1f1, xlogy
 
 from .errors import ConfigError
 
@@ -247,8 +247,9 @@ class Tabulated(RateProfile):
 class ServiceDistribution:
     """Processing-time law: CDF F, survival function 1 - F, integrated
     tail int_x^inf (1 - F(z)) dz = E[(S - x)^+], LST F~(s) = E[e^{-sS}],
-    mean, and a sampler. No solver reads a density, and the laws define
-    none."""
+    exp_convolved(lam, s) = E[e^{-lam (s - S)}; S <= s] = P(S <= s < S + Y)
+    for Y ~ Exp(lam) independent of S (0 for s <= 0), mean, and a sampler.
+    No solver reads a density, and the laws define none."""
 
     kind = "abstract"
 
@@ -266,6 +267,9 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def lst(self, s):
+        raise NotImplementedError
+
+    def exp_convolved(self, lam, s):
         raise NotImplementedError
 
     def sample(self, rng, size=None):
@@ -307,6 +311,14 @@ class Exponential(ServiceDistribution):
     def lst(self, s):
         return self.mu / (self.mu + s)
 
+    def exp_convolved(self, lam, s):
+        # mu int_0^s e^{-lam (s-v) - mu v} dv on the smaller rate; s at mu = lam
+        s = np.maximum(np.asarray(s, dtype=float), 0.0)
+        gap = abs(self.mu - lam)
+        share = s if gap == 0.0 else -np.expm1(-gap * s) / gap
+        out = self.mu * np.exp(-min(lam, self.mu) * s) * share
+        return out if out.ndim else float(out)
+
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.mu, size)
 
@@ -340,6 +352,11 @@ class Deterministic(ServiceDistribution):
 
     def lst(self, s):
         return np.exp(-self.d * s)
+
+    def exp_convolved(self, lam, s):
+        s = np.asarray(s, dtype=float)
+        out = np.where(s >= self.d, np.exp(-lam * np.maximum(s - self.d, 0.0)), 0.0)
+        return out if out.ndim else float(out)
 
     def sample(self, rng, size=None):
         if size is None:
@@ -404,6 +421,13 @@ class Uniform(ServiceDistribution):
         out = np.where(small, series, exact)
         return out if out.ndim else complex(out) if np.iscomplexobj(out) else float(out)
 
+    def exp_convolved(self, lam, s):
+        s = np.asarray(s, dtype=float)
+        m = np.clip(s, self.low, self.high)
+        out = (np.exp(-lam * np.maximum(s - m, 0.0)) * -np.expm1(-lam * (m - self.low))
+               / (lam * (self.high - self.low)))
+        return out if out.ndim else float(out)
+
     def sample(self, rng, size=None):
         return rng.uniform(self.low, self.high, size)
 
@@ -449,6 +473,20 @@ class Gamma(ServiceDistribution):
     def lst(self, s):
         # principal branch; 1 + scale*s stays in the right half-plane for Re(s) >= 0
         return (1.0 + self.scale * np.asarray(s)) ** (-self.shape)
+
+    def exp_convolved(self, lam, s):
+        # e^{-lam s} int_0^s v^{k-1} e^{-c v} dv / (Gamma(k) scale^k), c = 1/scale - lam.
+        # c > 0: e^{-lam s} P(k, c s) / (scale c)^k, whose powers of a rounded c
+        # cancel. c <= 0: z^k e^{-z} 1F1(1; k+1; c s) / Gamma(k+1), z = s/scale
+        # (DLMF 8.5.1 with Kummer's transformation), as e^{-c s} would overflow
+        s = np.maximum(np.asarray(s, dtype=float), 0.0)
+        k, c = self.shape, 1.0 / self.scale - lam
+        if c > 0.0:
+            out = np.exp(-lam * s) * (self.scale * c) ** -k * gammainc(k, c * s)
+        else:
+            z = s / self.scale
+            out = np.exp(xlogy(k, z) - z - gammaln(k + 1.0)) * hyp1f1(1.0, k + 1.0, c * s)
+        return out if out.ndim else float(out)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, self.scale, size)

@@ -8,21 +8,20 @@ neither reads a service density:
   acceleration of the Bromwich series.
 * theta = 0: the convolution
   T[g](x) = g(x) + lambda int_0^x g(s) S(x-s) ds,  S = 1 - F,
-  in survival form. With D = M(inf) - M,
-  1 - Phi(x) = T[D](x) + lambda M(inf) int_x^inf S(z) dz and the PDF is
-  T[M'], M' = lambda (D - M(inf) S) (T commutes with d/dx because
-  M(0) = 0). Every term of 1 - Phi is >= 0, so the tail keeps its
-  relative accuracy and the CDF cannot fall by roundoff; below the
-  service's support (S(x) = 1) both are exactly 0.
+  in survival form: 1 - Phi(x) = T[D](x) + lambda M(inf) int_x^inf S(z) dz
+  and the PDF is T[M'] (T commutes with d/dx because M(0) = 0), with the
+  closed forms D = M(inf) - M = M(inf) (S + W) and M' = lambda M(inf) W,
+  W the service law's exp_convolved. Every term is >= 0, so the tail
+  keeps its relative accuracy, the CDF cannot fall by roundoff and the
+  PDF cannot go negative; below the service's support (S(x) = 1) both
+  are exactly 0.
 
 T runs on one outer rule over [0, x]: 64-node Gauss panels no longer than
 16 (E[S] + 1/lambda), split at the service breakpoints b and at x - b,
 with the first and last quarter of the end panels, at most 4 E[S] long,
 on 32 nodes graded like t^4 toward 0 and x, where S may behave like
-v^shape. One march over the rule's nodes gives D (and M, for
-m_x_stationary at every theta) at x and at every node: 8 Gauss nodes per
-piece between neighbouring knots, and the recurrence over the pieces as
-anchored cumulative sums.
+v^shape. The same rule gives m_x_stationary for theta > 0; at theta = 0
+M = M(inf) (F - W) needs no quadrature.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -35,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _CAP
 from ._quad import gauss_nodes, graded_nodes, split_points
 from .errors import ConfigError, InversionError
 
@@ -67,13 +65,11 @@ _EQ_RATE_DELTA = 1e-6
 # M and the convolution integrand change on the scale E[S] + 1/lambda; 64
 # nodes resolve them on panels up to _PANEL_SCALE times that long. At the
 # ends S(v) and S(x - v) change on the scale E[S], so 32 nodes graded like
-# t^4 resolve at most _END_SCALE E[S] there. The march's pieces lie
-# between neighbouring nodes of that rule, so 8 nodes resolve each.
+# t^4 resolve at most _END_SCALE E[S] there.
 _PANEL_SCALE = 16
 _PANEL_NODES = 64
 _END_NODES = 32
 _END_SCALE = 4
-_PIECE_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -136,55 +132,24 @@ def _outer_rule(model, x):
     return nodes, weights
 
 
-def _march(model, s, g):
-    """(E, C) at the points s, for E(k) = int_0^k g(v) e^{-lam (k-v)} dv and
-    C(k) = int_0^k g(v) dv, marched over the knots {0, s, service
-    breakpoints below max s}. The pieces between neighbouring knots get
-    _PIECE_NODES Gauss nodes each, all from one call of g, and the
-    recurrence E(b) = E(a) e^{-lam (b-a)} + piece runs as anchored
-    cumulative sums in blocks of knots at most _CAP / lam long (as in
-    _kernels), so no factor overflows and the pieces of a g >= 0 add
-    without cancellation."""
-    lam = model.lam
-    top = float(np.max(s))
-    bps = [b for b in model.service.breakpoints() if 0.0 < b < top]
-    knots = np.unique(np.concatenate(([0.0], s, bps)))
-    nodes, half, w = gauss_nodes(knots, _PIECE_NODES)
-    vals = g(nodes)
-    flat = np.concatenate(([0.0], np.cumsum(half * (vals @ w))))
-    pieces = half * ((vals * np.exp(-lam * (knots[1:, None] - nodes))) @ w)
-    decayed = np.zeros(knots.size)
-    a = 0
-    while a < knots.size - 1:
-        i1 = max(a + 2, np.searchsorted(knots, knots[a] + _CAP / lam, "right"))
-        # anchored at the block's last knot: every factor is <= e^_CAP, and
-        # a single piece longer than _CAP / lam needs no factor at all
-        d = lam * (knots[a + 1:i1] - knots[a])
-        decayed[a + 1:i1] = (np.exp(-d) * decayed[a] + np.exp(d[-1] - d)
-                             * np.cumsum(pieces[a:i1 - 1] * np.exp(d - d[-1])))
-        a = i1 - 1
-    at = np.searchsorted(knots, s)
-    return decayed[at], flat[at]
-
-
 def m_x_stationary(model, x):
     """Stationary M(x) = P(idle, AoI <= x) for every theta and service law.
     Integrating the density form by parts leaves only F:
         M(x) = c lam int_0^x F(v) e^{-lam theta v}
                              (theta + (1-theta) e^{-lam (x-v)}) dv,
-    c = theta + (1-theta) M(inf), marched over the nodes of the outer rule
-    on [0, x], which are graded toward 0, where F(v) may behave like
-    v^shape."""
+    c = theta + (1-theta) M(inf): M(inf) (F(x) - exp_convolved(lam, x)) at
+    theta = 0, one sum over the outer rule on [0, x] for theta > 0."""
     x = _abscissa(x)
     if x <= 0:
         return 0.0
-    lam, th = model.lam, model.theta
-    nodes, _ = _outer_rule(model, x)
-    decayed, flat = _march(
-        model, np.append(nodes, x),
-        lambda v: model.service.cdf(v) * np.exp(-lam * th * v))
-    c = th + (1.0 - th) * m_infinity(model)
-    val = c * lam * (th * flat[-1] + (1.0 - th) * decayed[-1])
+    lam, th, svc = model.lam, model.theta, model.service
+    if th == 0.0:
+        val = m_infinity(model) * (svc.cdf(x) - svc.exp_convolved(lam, x))
+    else:
+        v, w = _outer_rule(model, x)
+        c = th + (1.0 - th) * m_infinity(model)
+        vals = svc.cdf(v) * np.exp(-lam * th * v) * (th + (1.0 - th) * np.exp(-lam * (x - v)))
+        val = c * lam * float(vals @ w)
     return float(min(max(val, 0.0), 1.0))
 
 
@@ -253,19 +218,15 @@ def _euler_invert(fhat, x):
 
 def _convolve(model, x, density):
     """T[g](x) = g(x) + lam int_0^x g(s) S(x-s) ds at theta = 0, S = 1 - F,
-    on the outer rule, for g = D = M(inf) - M (density False) or
-    g = M' = lam (D - M(inf) S) (density True). D comes from one march at
-    x and at every node,
-        D(s) = M(inf) [e^{-lam s} + lam int_0^s S(v) e^{-lam (s-v)} dv],
-    so every term of T[D] is >= 0."""
+    on the outer rule, for g = D = M(inf) P(S + Y > s) = M(inf) (S + W)
+    (density False) or g = M' = lam M(inf) W (density True), Y ~ Exp(lam),
+    W(s) = P(S <= s < S + Y) in closed form; every term is >= 0."""
     lam, svc = model.lam, model.service
     minf = m_infinity(model)
     nodes, weights = _outer_rule(model, x)
     s = np.append(nodes, x)
-    decayed, _ = _march(model, s, svc.sf)
-    g = minf * (np.exp(-lam * s) + lam * decayed)
-    if density:
-        g = lam * (g - minf * svc.sf(s))
+    w = svc.exp_convolved(lam, s)
+    g = lam * minf * w if density else minf * (svc.sf(s) + w)
     return float(g[-1]) + lam * float((g[:-1] * svc.sf(x - nodes)) @ weights)
 
 

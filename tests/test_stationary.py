@@ -442,6 +442,45 @@ def test_no_preemption_tail_is_monotone(service):
     assert np.all(np.diff(cdfs) >= 0.0)
 
 
+@pytest.mark.parametrize("lam", [100.0, 1000.0])
+def test_no_preemption_fast_arrivals_match_closed_forms(lam):
+    # D has a boundary layer of width 1/lam; a quadrature for D over pieces
+    # of the outer rule could not resolve e^{-lam (s - v)} there and read
+    # the M/M/1/1 CDF 2.4e-3 off at lam = 1000, with PDF values near -2.3
+    xs = np.linspace(0.0, 10.0, 61)[1:]
+    for svc, closed in ((Exponential(1.2), closed_form_mm11),
+                        (Deterministic(1 / 1.2), closed_form_md11)):
+        model = StationaryModel(lam, svc, 0.0)
+        for x in xs:
+            assert aoi_cdf_stationary(model, x) == pytest.approx(
+                closed(lam, 1.2, x), abs=1e-12, rel=0.0)
+            assert aoi_pdf_stationary(model, x) >= 0.0
+
+
+def mm11_pdf(lam, mu, x):
+    """Derivative of the M/M/1/1 closed form (lam != mu), in mpmath."""
+    d = lam - mu
+    b = lam * mu / d
+    a = (lam * lam - lam * mu - mu * mu) / (d * d)
+    return (lam * mu ** 3 / ((lam + mu) * d * d) * mpmath.exp(-lam * x)
+            + lam / (lam + mu) * (mu * (a + b * x) - b) * mpmath.exp(-mu * x))
+
+
+@pytest.mark.parametrize("lam", [0.4, 0.8, 1.6])
+def test_no_preemption_pdf_tail_keeps_relative_accuracy(lam):
+    # the PDF is T[lam M(inf) W], a sum of nonnegative terms; derivatives of
+    # the M/M/1/1 and M/D/1/1 closed forms, at the doubles the models hold
+    with mpmath.workdps(30):
+        mu, d, lm = mpmath.mpf(1.2), mpmath.mpf(1 / 1.2), mpmath.mpf(lam)
+        for x in (20.0, 60.0, 100.0):
+            want = float(mm11_pdf(lm, mu, x))
+            got = aoi_pdf_stationary(StationaryModel(lam, Exponential(1.2), 0.0), x)
+            assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+            want = float(lm / (1 + lm * d) * mpmath.exp(-lm * (x - 2 * d)))
+            got = aoi_pdf_stationary(StationaryModel(lam, Deterministic(1 / 1.2), 0.0), x)
+            assert got == pytest.approx(want, rel=5e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("lam", [0.4, 1.6])
 def test_no_preemption_exactly_zero_below_support(lam):
     # no update is younger than the shortest service time
@@ -467,6 +506,76 @@ def test_survival_function_and_integrated_tail(svc):
     for x in (-0.5, 0.0, 0.3, 1.0, 2.5, 10.0):
         assert svc.tail(x) == pytest.approx(integrated_tail(svc, x), abs=1e-12)
     assert svc.tail(0.0) == pytest.approx(svc.mean, abs=1e-15)
+
+
+def exp_convolved_reference(svc, lam, s):
+    """W(s) = E[e^{-lam (s-S)}; S <= s] = int_0^s f(v) e^{-lam (s-v)} dv by
+    quad. For Gamma the substitution v = h u^(1/shape) on [0, h], h =
+    min(s, scale), turns v^(shape-1) dv into (h^shape / shape) du, so the
+    integrand is smooth there even for shape << 1."""
+    if s <= 0:
+        return 0.0
+    kw = dict(epsabs=0.0, epsrel=2e-14, limit=400)
+    if svc.kind == "deterministic":
+        return math.exp(-lam * (s - svc.d)) if s >= svc.d else 0.0
+
+    def term(v):
+        return density(svc, v) * math.exp(-lam * (s - v))
+
+    if svc.kind in ("gamma", "erlang"):
+        k, sc = svc.shape, svc.scale
+        h = min(s, sc)
+        head, _ = integrate.quad(
+            lambda u: math.exp(-h * u ** (1.0 / k) / sc - lam * (s - h * u ** (1.0 / k))),
+            0.0, 1.0, **kw)
+        rest = integrate.quad(term, h, s, **kw)[0] if h < s else 0.0
+        return (h / sc) ** k / math.gamma(k + 1.0) * head + rest
+    cuts = [0.0, *(b for b in svc.breakpoints() if b < s), s]
+    return sum(integrate.quad(term, a, b, **kw)[0] for a, b in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("svc", [*FIG7_SERVICES.values(), Uniform(0.5, 1.5)],
+                         ids=[*FIG7_SERVICES.keys(), "uni-shifted"])
+@pytest.mark.parametrize("lam", [0.4, 0.8, 1.6])
+def test_exp_convolved_matches_quadrature(svc, lam):
+    for s in (1e-6, 0.05, 0.3, 0.5, 1 / 1.2, 1.0, 1.5, 2.5, 7.0, 20.0):
+        want = exp_convolved_reference(svc, lam, s)
+        assert svc.exp_convolved(lam, s) == pytest.approx(want, abs=1e-13, rel=0.0)
+
+
+def test_exp_convolved_edge_cases():
+    s = np.array([0.01, 0.5, 2.0, 9.0])
+    # mu = lam: mu s e^{-mu s}, and no jump either side of it
+    exp = Exponential(1.2)
+    np.testing.assert_allclose(exp.exp_convolved(1.2, s), 1.2 * s * np.exp(-1.2 * s),
+                               rtol=1e-15, atol=0.0)
+    for lam in (1.2 * (1 - 1e-9), 1.2 * (1 + 1e-9)):
+        np.testing.assert_allclose(exp.exp_convolved(lam, s), exp.exp_convolved(1.2, s),
+                                   rtol=2e-8, atol=0.0)
+    # lam scale = 1 exactly (c = 0) and on either side of it, across the
+    # switch between the incomplete-gamma and the 1F1 form
+    gam = Gamma(1.2, 1 / 1.44)
+    for lam in (1.44, 1.44 * (1 - 1e-9), 1.44 * (1 + 1e-9)):
+        for si in s:
+            want = exp_convolved_reference(gam, lam, si)
+            assert gam.exp_convolved(lam, si) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # a small shape near s = 0, where W behaves like s^shape
+    tiny = Gamma(0.05, 1.0)
+    for lam in (0.4, 1.6):
+        for si in (1e-12, 1e-6, 1e-3, 0.1):
+            want = exp_convolved_reference(tiny, lam, si)
+            assert tiny.exp_convolved(lam, si) == pytest.approx(want, rel=1e-13, abs=0.0)
+    # an atom at d: the first update that young is the one that just ended
+    assert Deterministic(1.5).exp_convolved(0.8, 1.5) == 1.0
+    assert Deterministic(1.5).exp_convolved(0.8, 1.4) == 0.0
+    assert Uniform(0.5, 1.5).exp_convolved(0.8, 0.5) == 0.0
+    laws = [*FIG7_SERVICES.values(), Uniform(0.5, 1.5), tiny]
+    for svc in laws:
+        for lam in (0.4, 1.2, 1.44, 1.6):
+            assert svc.exp_convolved(lam, 0.0) == 0.0
+            with np.errstate(over="raise", invalid="raise"):
+                far = svc.exp_convolved(lam, np.array([1e6]))
+            assert np.isfinite(far).all() and (far >= 0.0).all()
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3])
