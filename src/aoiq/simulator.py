@@ -6,6 +6,14 @@ server holds at most one packet (no waiting room), and an arrival during
 service preempts with probability theta, else is discarded.  U(t) is the
 generation time of the freshest packet whose service completed by t; the
 system starts empty with a virtual update at time 0.
+
+The replications of a block advance together over the arrival index. They
+are ordered by decreasing arrival count, so the ones that still have an
+arrival at index c are the first k_c, and each index is one numpy step over
+them: a service that completed by the arrival (a tie included) delivers its
+packet, and the arrival starts service if the server was idle or its
+preemption coin came up. The coins and the service times of the block are
+drawn before the march, service times only for real arrivals.
 """
 
 from __future__ import annotations
@@ -56,9 +64,12 @@ def _envelope(profile, t):
 
 
 def _arrivals(profile, t, rng, reps):
-    """Sorted arrival times on [0, t], one row per replication, padded with
-    inf. Thinning is exact (no time-step bias) as long as each segment's
-    bound dominates the rate there."""
+    """Sorted arrival times on [0, t] laid out (width, reps): row c holds
+    the c-th arrival of every replication, and the replications are ordered
+    by decreasing arrival count, so the first k[c] entries of row c are real
+    and the rest is inf padding. Returns (times, order, k), where column i
+    holds replication order[i]. Thinning is exact (no time-step bias) as
+    long as each segment's bound dominates the rate there."""
     segments = _envelope(profile, t)
     n = rng.poisson([lmax * (b - a) for a, b, lmax in segments], (reps, len(segments)))
     width = int(n.sum(axis=1).max(initial=0))
@@ -72,33 +83,48 @@ def _arrivals(profile, t, rng, reps):
         pos += np.arange(pos.size)
         np.put(out, pos, times)
     out.sort(axis=1)
-    return out[:, :int(np.isfinite(out).sum(axis=1).max(initial=0))]
+    count = np.isfinite(out).sum(axis=1)
+    order = np.argsort(-count, kind="stable")
+    width = int(count.max(initial=0))
+    k = reps - np.cumsum(np.bincount(count, minlength=width + 1))[:width]
+    return out[order, :width].T, order, k
 
 
 def simulate_aoi_at(config, t, rng, reps):
     """`reps` replications advanced together: the AoI samples Delta(t), and
     the counts of busy_arrivals, preemptions, discards and completions
     summed over the replications."""
-    u = np.zeros(reps)             # generation time of the freshest delivery
-    gen = np.zeros(reps)           # generation time of the packet in service
-    done = np.full(reps, np.inf)   # its completion time; inf while idle
-    tally = np.zeros(4, dtype=np.int64)   # completions, busy, preempting, discarded
-    for a in np.ascontiguousarray(_arrivals(config.rate, t, rng, reps).T):
-        real = a <= t              # the inf padding is no arrival
-        fin = real & (done <= a)   # completion happens first on a tie
-        u[fin], done[fin] = gen[fin], np.inf
-        busy = real & (done < np.inf)
-        # one uniform per row keeps the stream aligned across theta
-        pre = busy & (rng.random(reps) < config.theta)
-        start = (real & ~busy) | pre
-        gen[start] = a[start]
-        done[start] = a[start] + config.service.sample(rng, int(np.count_nonzero(start)))
-        tally += [np.count_nonzero(m) for m in (fin, busy, pre, busy & ~pre)]
+    a, order, k = _arrivals(config.rate, t, rng, reps)
+    # every random number of the block is drawn before the march; the coins
+    # come first and one per cell, so the stream is the same for every theta
+    coin = rng.random(a.shape) < config.theta
+    plan = np.stack([a, a])    # (generation, completion) of a packet if it starts
+    a = plan[0]                # frees the matrix _arrivals returned
+    plan[1][a < np.inf] += config.service.sample(rng, int(k.sum()))
+    # the packet in service, (generation, completion); the virtual update
+    # at time 0 is a service that finished at 0
+    state = np.zeros((2, reps))
+    gen, done = state
+    u = np.zeros(reps)         # generation time of the freshest delivery
+    idle = np.zeros(a.shape, dtype=bool)
+    start = np.zeros(a.shape, dtype=bool)
+    for c, kc in enumerate(k.tolist()):
+        # a completion comes before an arrival at the same instant
+        fin = np.less_equal(done[:kc], a[c, :kc], out=idle[c, :kc])
+        np.copyto(u[:kc], gen[:kc], where=fin)
+        np.copyto(state[:, :kc], plan[:, c, :kc],
+                  where=np.logical_or(fin, coin[c, :kc], out=start[c, :kc]))
     fin = done <= t
-    u[fin] = gen[fin]
-    completions, busy, pre, discards = tally.tolist()
-    return t - u, {"busy_arrivals": busy, "preemptions": pre, "discards": discards,
-                   "completions": completions + int(np.count_nonzero(fin))}
+    np.copyto(u, gen, where=fin)
+    samples = np.empty(reps)
+    samples[order] = t - u
+    # the first arrival of a replication finds the virtual update finished,
+    # and only a replication with arrivals can complete a service by t
+    first = int(k[0]) if k.size else 0
+    n_idle, n_start = np.count_nonzero(idle), np.count_nonzero(start)
+    busy, pre = int(k.sum() - n_idle), int(n_start - n_idle)
+    return samples, {"busy_arrivals": busy, "preemptions": pre, "discards": busy - pre,
+                     "completions": int(n_idle - first + np.count_nonzero(fin[:first]))}
 
 
 def empirical_cdf(request, xs):

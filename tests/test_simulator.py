@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from aoiq import (Constant, Sinusoid, Uniform, Exponential, Erlang,
-                  Deterministic, SystemConfig, SimRequest, simulate_aoi_at,
+from aoiq import (Constant, Sinusoid, PiecewiseConstant, Uniform, Exponential,
+                  Erlang, Deterministic, SystemConfig, SimRequest, simulate_aoi_at,
                   empirical_cdf, SolverSettings, aoi_cdf_tv, aoi_cdf_negligible,
-                  ConfigError)
+                  closed_form_mm11, closed_form_mm11_preemptive, ConfigError)
 from aoiq import simulator
 
 
@@ -67,6 +67,80 @@ def test_partial_preemption_splits_busy_arrivals():
     assert total == counters["busy_arrivals"]
     frac = counters["preemptions"] / total
     assert abs(frac - 0.6) < 0.05
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.6, 1.0])
+def test_counter_means_match_the_exponential_busy_law(theta):
+    # with exponential service the server is busy at s with probability
+    # lam/(lam+mu) (1 - exp(-(lam+mu) s)) whatever theta is, so over [0, t]
+    # the mean completions are mu lam/(lam+mu) tau and the mean busy
+    # arrivals lam^2/(lam+mu) tau, tau = t - (1 - exp(-(lam+mu) t))/(lam+mu)
+    lam, mu, t = 3.0, 0.4, 20.0
+    cfg = SystemConfig(Constant(lam), Exponential(mu), theta)
+    batches, reps = 40, 500
+    counts = [simulate_aoi_at(cfg, t, np.random.default_rng([11, i]), reps)[1]
+              for i in range(batches)]
+    tau = t - (1.0 - math.exp(-(lam + mu) * t)) / (lam + mu)
+    for key, want in (("completions", lam * mu / (lam + mu) * tau),
+                      ("busy_arrivals", lam * lam / (lam + mu) * tau)):
+        means = np.array([c[key] for c in counts]) / reps
+        se = means.std(ddof=1) / math.sqrt(batches)
+        assert abs(means.mean() - want) < 5.0 * se, (key, means.mean(), want)
+    busy = sum(c["busy_arrivals"] for c in counts)
+    pre = sum(c["preemptions"] for c in counts)
+    assert abs(pre / busy - theta) <= 5.0 * math.sqrt(theta * (1.0 - theta) / busy)
+
+
+def test_horizon_zero_gives_zero_age_and_no_events():
+    cfg = SystemConfig(Constant(2.0), Exponential(1.0), 0.5)
+    samples, counts = simulate_aoi_at(cfg, 0.0, np.random.default_rng(0), 5)
+    np.testing.assert_array_equal(samples, np.zeros(5))
+    assert set(counts.values()) == {0}
+    np.testing.assert_array_equal(
+        empirical_cdf(SimRequest(cfg, 0.0, 5, 0), [0.0, 1.0]), [1.0, 1.0])
+
+
+def test_zero_rate_piece_at_the_start():
+    # no arrival before t = 1, so Delta(0.5) = 0.5 in every replication
+    cfg = SystemConfig(PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 2.0)),
+                       Exponential(1.0), 0.5)
+    vals = empirical_cdf(SimRequest(cfg, 0.5, 50, 4), [0.0, 1.0])
+    np.testing.assert_array_equal(vals, [0.0, 1.0])
+
+
+def test_single_replication():
+    cfg = SystemConfig(Sinusoid(1.7, 1.0, 1.8), Erlang(5, 1 / 6), 0.6)
+    samples, counts = simulate_aoi_at(cfg, 10.0, np.random.default_rng(3), 1)
+    assert samples.shape == (1,) and 0.0 <= samples[0] <= 10.0
+    assert counts["busy_arrivals"] == counts["preemptions"] + counts["discards"]
+    vals = empirical_cdf(SimRequest(cfg, 10.0, 1, 3), [0.0, 10.0])
+    np.testing.assert_array_equal(vals, [0.0, 1.0])
+
+
+def test_last_block_may_hold_one_row(monkeypatch):
+    # mass 6 gives 1024 // (6 + 10 sqrt(6) + 10) = 25 rows per block, so 51
+    # replications run as blocks of 25, 25 and 1
+    monkeypatch.setattr(simulator, "BLOCK_CANDIDATES", 2 ** 10)
+    cfg = SystemConfig(Constant(1.0), Exponential(1.2), 0.5)
+    req = SimRequest(cfg, 6.0, 51, seed=9)
+    xs = np.linspace(0.0, 6.0, 13)
+    samples = np.sort(np.concatenate([
+        simulate_aoi_at(cfg, 6.0, np.random.default_rng([9, b]), n)[0]
+        for b, n in enumerate((25, 25, 1))]))
+    want = np.searchsorted(samples, xs, side="right") / 51.0
+    np.testing.assert_array_equal(empirical_cdf(req, xs), want)
+
+
+@pytest.mark.parametrize("theta, closed_form", [
+    (0.0, closed_form_mm11), (1.0, closed_form_mm11_preemptive)])
+def test_long_horizon_matches_the_stationary_closed_form(theta, closed_form):
+    # at t = 60 the transient of lam + mu = 2.2 is gone (e^-132)
+    lam, mu, n = 1.0, 1.2, 20_000
+    cfg = SystemConfig(Constant(lam), Exponential(mu), theta)
+    xs = np.linspace(0.5, 8.0, 8)
+    emp = empirical_cdf(SimRequest(cfg, 60.0, n, seed=60), xs)
+    want = np.array([closed_form(lam, mu, x) for x in xs])
+    assert np.max(np.abs(emp - want)) < dkw_band(n)
 
 
 def test_padding_never_completes_a_service():
