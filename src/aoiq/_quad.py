@@ -3,11 +3,12 @@
 One primitive, `gauss_panels`, integrates a vectorized f over every panel
 of an edge list with a single call of f on the (panels x nodes) array that
 `gauss_nodes` lays out; `composite_gauss` sums its 64-node form over the
-segments between breakpoints. `graded_nodes` is the Gauss rule after the
-substitution s = l t^4, for an end where the integrand behaves like s^k.
-The stationary route uses 64 nodes per panel of [0, x] with 32 graded
-nodes at either end; the negligible-processing mean uses 64, the Volterra
-solvers' product weights 2 per grid cell.
+segments between breakpoints. `gauss_rule` is the rule itself on [-1, 1]
+and `graded_rule` the rule on [0, 1] after the substitution s = t^4, for
+an end where the integrand behaves like s^k: from these unit templates the
+stationary route builds its mirrored rule on [0, x] (64 nodes per panel,
+32 graded nodes at either end). The negligible-processing mean uses 64
+nodes, the Volterra solvers' product weights 2 per grid cell.
 """
 
 import numpy as np
@@ -16,10 +17,22 @@ import numpy as np
 _RULES = {}
 
 
-def _rule(npts):
+def gauss_rule(npts):
+    """(nodes, weights) of the npts-node Gauss-Legendre rule on [-1, 1],
+    nodes ascending (and symmetric about 0)."""
     if npts not in _RULES:
         _RULES[npts] = np.polynomial.legendre.leggauss(npts)
     return _RULES[npts]
+
+
+def graded_rule(npts):
+    """(offsets, weights) of the npts-node Gauss rule on [0, 1] after the
+    substitution s = t^4: the offsets crowd toward 0 like t^4 and the
+    weights 4 t^3 w / 2 carry the Jacobian, so an integrand that behaves
+    like s^k at 0 becomes smooth in t. Scale both by l for [0, l]."""
+    x, w = gauss_rule(npts)
+    t = 0.5 * (x + 1.0)
+    return t ** 4, 2.0 * t ** 3 * w
 
 
 def split_points(a, b, breakpoints):
@@ -35,21 +48,11 @@ def gauss_nodes(edges, npts):
     """(nodes, half, w) of the npts-node Gauss rule on each panel [edges[k],
     edges[k+1]]: row k of the (panels x npts) array `nodes` holds panel k's
     nodes, and half * (values @ w) are the panel integrals."""
-    x, w = _rule(npts)
+    x, w = gauss_rule(npts)
     edges = np.asarray(edges, dtype=float)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return mid[:, None] + half[:, None] * x, half, w
-
-
-def graded_nodes(length, npts):
-    """(offsets, weights) of the npts-node Gauss rule on [0, length] after
-    the substitution s = length t^4, t in [0, 1]: the offsets crowd toward
-    0 like t^4 and the weights 4 length t^3 w carry the Jacobian, so an
-    integrand that behaves like s^k at 0 becomes smooth in t."""
-    x, w = _rule(npts)
-    t = 0.5 * (x + 1.0)
-    return length * t ** 4, 2.0 * length * t ** 3 * w
 
 
 def gauss_panels(f, edges, npts):

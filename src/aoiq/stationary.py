@@ -17,11 +17,16 @@ neither reads a service density:
   are exactly 0.
 
 T runs on one outer rule over [0, x]: 64-node Gauss panels no longer than
-16 (E[S] + 1/lambda), split at the service breakpoints b and at x - b,
-with the first and last quarter of the end panels, at most 4 E[S] long,
-on 32 nodes graded like t^4 toward 0 and x, where S may behave like
-v^shape. The same rule gives m_x_stationary for theta > 0; at theta = 0
-M = M(inf) (F - W) needs no quadrature.
+16 (E[S] + 1/lambda), split at the service breakpoints b (and, at large
+lambda, at b + 40/lambda, where D's boundary layer after an atom ends) and
+at their mirror images x - b, with the first and last quarter of the end
+panels, at most 4 E[S] long, on 32 nodes graded like t^4 toward 0 and x,
+where S may behave like v^shape. The rule is laid out from unit templates
+for its left half and mirrored, so x - s runs over the nodes backwards:
+one S evaluation at (nodes, x) gives g and the kernel S(x - s), and the
+last value, S(x), is the below-support test. The same rule gives
+m_x_stationary for theta > 0; at theta = 0 M = M(inf) (F - W) needs no
+quadrature.
 
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
@@ -29,12 +34,13 @@ each with an analytic limit branch for lambda ~ mu.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import gauss_nodes, graded_nodes, split_points
+from ._quad import gauss_rule, graded_rule
 from .errors import ConfigError, InversionError
 
 __all__ = [
@@ -53,23 +59,40 @@ __all__ = [
 _EULER_A = 18.4
 _EULER_TERMS = 40
 _EULER_STAGES = 12
-# series index, alternating signs (first term halved) and the binomial
-# weights of the Euler average over the last _EULER_STAGES + 1 partial sums
+# series index and contour points times x
 _EULER_K = np.arange(_EULER_TERMS + _EULER_STAGES + 1)
-_EULER_SIGNS = (-1.0) ** _EULER_K
-_EULER_SIGNS[0] = 0.5
-_EULER_WEIGHTS = np.array([math.comb(_EULER_STAGES, j)
-                           for j in range(_EULER_STAGES + 1)]) / 2.0 ** _EULER_STAGES
+_EULER_S = (_EULER_A + 2j * np.pi * _EULER_K) / 2.0
+
+
+def _euler_coefficients():
+    """(terms, 2) weights of Re f(s_k) in the Euler estimates from the last
+    _EULER_STAGES + 1 partial sums ending at _EULER_TERMS (column 0) and
+    one before (column 1). The binomial average sum_j w_j sum_{k<=n+j} t_k
+    is sum_k t_k sum_{j>=k-n} w_j, and t_k = 2 (-1)^k Re f(s_k), the first
+    term halved."""
+    stages, n = _EULER_STAGES, _EULER_TERMS
+    w = np.array([math.comb(stages, j) for j in range(stages + 1)]) / 2.0 ** stages
+    tail = np.append(np.cumsum(w[::-1])[::-1], 0.0)
+    signs = 2.0 * (-1.0) ** _EULER_K
+    signs[0] = 1.0
+    return np.stack([signs * tail[np.clip(_EULER_K - m, 0, stages + 1)]
+                     for m in (n, n - 1)], axis=1)
+
+
+_EULER_C = _euler_coefficients()
 # relative threshold for the lambda ~ mu limit branches
 _EQ_RATE_DELTA = 1e-6
 # M and the convolution integrand change on the scale E[S] + 1/lambda; 64
 # nodes resolve them on panels up to _PANEL_SCALE times that long. At the
 # ends S(v) and S(x - v) change on the scale E[S], so 32 nodes graded like
-# t^4 resolve at most _END_SCALE E[S] there.
+# t^4 resolve at most _END_SCALE E[S] there. After a service atom at b, D
+# falls like e^{-lam (s - b)}; where 64 nodes cannot resolve that, a panel
+# of _LAYER / lam starts at b.
 _PANEL_SCALE = 16
 _PANEL_NODES = 64
 _END_NODES = 32
 _END_SCALE = 4
+_LAYER = 40
 
 
 @dataclass(frozen=True)
@@ -110,26 +133,72 @@ def _abscissa(x):
     return x
 
 
+@functools.cache
+def _row_templates():
+    """(nodes, weights) of the four unit templates of _END_NODES nodes
+    each, nodes ascending: the graded end rule on [0, 1], the two halves of
+    the panel rule on [-1, 1] and the end rule mirrored onto [-1, 0].
+    Template 3 - t is the mirror image of template t (the Gauss rule is
+    symmetric), with its weights reversed. Built on first use, so that
+    importing the package runs no eigensolver."""
+    end_t, end_w = graded_rule(_END_NODES)
+    gauss_t, gauss_w = gauss_rule(_PANEL_NODES)
+    return (np.vstack((end_t, *np.split(gauss_t, 2), -end_t[::-1])),
+            np.vstack((end_w, *np.split(gauss_w, 2), end_w[::-1])))
+
+
 def _outer_rule(model, x):
-    """(nodes, weights) on [0, x]. Panels of at most
-    _PANEL_SCALE (E[S] + 1/lam), split at every service breakpoint b and at
-    x - b, carry _PANEL_NODES Gauss nodes each, except that the first and
-    the last quarter of the end panels, capped at _END_SCALE E[S], carry
-    _END_NODES nodes graded like t^4 toward 0 and toward x, where S(v) and
-    S(x - v) may behave like v^k (Gamma shape k)."""
-    bps = [b for b in model.service.breakpoints() if 0.0 < b < x]
-    longest = _PANEL_SCALE * (model.service.mean + 1.0 / model.lam)
-    even = np.linspace(0.0, x, math.ceil(x / longest) + 1)
-    edges = split_points(0.0, x, [*even, *bps, *(x - b for b in bps)])
-    graded = _END_SCALE * model.service.mean
-    first = min(0.25 * (edges[1] - edges[0]), graded)
-    last = min(0.25 * (edges[-1] - edges[-2]), graded)
-    inner, half, w = gauss_nodes([first, *edges[1:-1], x - last], _PANEL_NODES)
-    head, head_w = graded_nodes(first, _END_NODES)
-    end, end_w = graded_nodes(last, _END_NODES)
-    nodes = np.concatenate((head, inner.ravel(), x - end))
-    weights = np.concatenate((head_w, (half[:, None] * w).ravel(), end_w))
-    return nodes, weights
+    """(nodes, weights) on [0, x], nodes ascending, mirror-symmetric: the
+    right half is x - (left half) reversed with the reversed weights, so
+    x - nodes[i] is nodes[-1 - i] (to roundoff in x). Panels of at most
+    _PANEL_SCALE (E[S] + 1/lam), split at every service breakpoint b, at
+    b + _LAYER / lam when _LAYER / lam is shorter than the node spacing of
+    the longest panel (D falls like e^{-lam (s - b)} after an atom at b),
+    and at the mirror images x - p of those points, carry _PANEL_NODES
+    Gauss nodes each, except that the first and the last quarter of the end
+    panels, capped at _END_SCALE E[S], carry _END_NODES nodes graded like
+    t^4 toward 0 and toward x, where S(v) and S(x - v) may behave like v^k
+    (Gamma shape k). Only the left half is laid out, from the split points
+    below x/2 (each point p of the full rule as min(p, x - p)), and then
+    mirrored."""
+    svc = model.service
+    half_x = 0.5 * x
+    longest = _PANEL_SCALE * (svc.mean + 1.0 / model.lam)
+    n = math.ceil(x / longest)
+    step = x / n
+    # with an even number of even panels, or a split at x/2, the halves
+    # meet at a panel edge; otherwise the middle panel straddles x/2
+    middle = n % 2 == 0
+    cuts = {k * step for k in range(1, (n + 1) // 2)}
+    layer = _LAYER / model.lam
+    bps = svc.breakpoints()
+    if layer < longest / _PANEL_NODES:
+        bps = (*bps, *(b + layer for b in bps))
+    for b in bps:
+        if 0.0 < b < x:
+            p = min(b, x - b)
+            if p == half_x:
+                middle = True
+            else:
+                cuts.add(p)
+    cuts = sorted(cuts)
+    if middle:
+        cuts.append(half_x)
+    first = min(0.25 * (cuts[0] if cuts else x), _END_SCALE * svc.mean)
+    # rows of _END_NODES nodes as (offset, scale, template): the graded
+    # end, both halves of each panel and the left half of a panel that
+    # straddles x/2, then each row's mirror image in reverse order
+    rows = [(0.0, first, 0)]
+    for a, b in zip([first, *cuts], cuts):
+        rows += [(0.5 * (a + b), 0.5 * (b - a), t) for t in (1, 2)]
+    if not middle:
+        rows.append((half_x, half_x - (cuts[-1] if cuts else first), 1))
+    rows += [(x - a, c, 3 - t) for a, c, t in reversed(rows)]
+    offset, scale, template = (np.array(v) for v in zip(*rows))
+    scale = scale[:, None]
+    row_t, row_w = _row_templates()
+    nodes = offset[:, None] + scale * row_t.take(template, axis=0)
+    return nodes.ravel(), (scale * row_w.take(template, axis=0)).ravel()
 
 
 def m_x_stationary(model, x):
@@ -166,36 +235,40 @@ def aoi_lst(model, s):
         K(s) = lam (1 - F~(lam*theta+s)) / (lam*theta + s).
 
     The textbook form carries s * M*(s) with a 1/s inside M*; the s cancels
-    analytically, and evaluating the cancelled product keeps s = 0 regular.
+    analytically. Multiplying the last factor through by lam*theta + s
+    leaves the form evaluated here, regular at s = 0:
+
+        Phi~(s) = c F~ (lam + s - (1-theta) lam F~) /
+                  ((lam + s) (s + theta lam F~)),  F~ = F~(lam*theta+s),
+
+    with the constant c = lam theta / (1 - (1-theta) F~(lam*theta)).
     """
     th = model.theta
     if th == 0.0:
         raise ConfigError(
             "theta = 0 has no LST route here; aoi_cdf_stationary uses the "
             "convolution path instead")
-    lam = model.lam
+    lam, svc = model.lam, model.service
+    c = lam * th / (1.0 - (1.0 - th) * float(np.real(svc.lst(lam * th))))
     s = np.asarray(s)
-    ftl = model.service.lst(lam * th + s)
-    f0 = np.real(model.service.lst(lam * th))
-    s_m = lam / (lam + s) * th * ftl / (1.0 - (1.0 - th) * f0)
-    k = lam * (1.0 - ftl) / (lam * th + s)
-    out = s_m * (1.0 + (1.0 - th) * k) / (1.0 - th * k)
+    lp = lam + s
+    ftl = svc.lst(lam * th + s)
+    a = lam * ftl
+    out = c * ftl * (lp - (1.0 - th) * a) / (lp * (s + th * a))
     return out if out.ndim else complex(out)
 
 
 def _euler_invert(fhat, x):
     """Abate-Whitt Euler summation of the Bromwich series at time x."""
-    a, n = _EULER_A, _EULER_TERMS
-    s = (a + 2j * np.pi * _EULER_K) / (2.0 * x)
+    a = _EULER_A
+    s = _EULER_S / x
     with np.errstate(over="raise", invalid="raise"):
         try:
             vals = np.asarray(fhat(s), dtype=complex)
-            partial = np.cumsum(2.0 * np.real(vals) * _EULER_SIGNS)
-            scale = math.exp(a / 2.0) / (2.0 * x)
-            value = scale * float(np.dot(_EULER_WEIGHTS, partial[n:]))
             # successive Euler-averaged estimates agree to ~1e-9 when the
             # series is healthy; a large gap means roundoff has taken over
-            previous = scale * float(np.dot(_EULER_WEIGHTS, partial[n - 1:-1]))
+            value, previous = (math.exp(a / 2.0) / (2.0 * x)
+                               * (np.real(vals) @ _EULER_C)).tolist()
             drift = abs(value - previous)
         except (FloatingPointError, OverflowError) as exc:
             raise InversionError(
@@ -220,21 +293,30 @@ def _convolve(model, x, density):
     """T[g](x) = g(x) + lam int_0^x g(s) S(x-s) ds at theta = 0, S = 1 - F,
     on the outer rule, for g = D = M(inf) P(S + Y > s) = M(inf) (S + W)
     (density False) or g = M' = lam M(inf) W (density True), Y ~ Exp(lam),
-    W(s) = P(S <= s < S + Y) in closed form; every term is >= 0."""
+    W(s) = P(S <= s < S + Y) in closed form; every term is >= 0. One S
+    evaluation on (nodes, x) serves g and, reversed on the mirrored rule,
+    S(x - s). None below the service's support (S(x) = 1), where the AoI
+    cannot be <= x."""
     lam, svc = model.lam, model.service
-    minf = m_infinity(model)
     nodes, weights = _outer_rule(model, x)
-    s = np.append(nodes, x)
+    s = np.concatenate((nodes, (x,)))
+    sv = svc.sf(s)
+    if sv[-1] == 1.0:
+        return None
+    minf = m_infinity(model)
     w = svc.exp_convolved(lam, s)
-    g = lam * minf * w if density else minf * (svc.sf(s) + w)
-    return float(g[-1]) + lam * float((g[:-1] * svc.sf(x - nodes)) @ weights)
+    g = lam * minf * w if density else minf * (sv + w)
+    return float(g[-1]) + lam * float((g[:-1] * sv[-2::-1]) @ weights)
 
 
 def _survival(model, x):
     """1 - Phi(x) at theta = 0, T[D](x) + lam M(inf) int_x^inf S, to
-    relative accuracy, also where Phi(x) rounds to 1."""
-    return (_convolve(model, x, False)
-            + model.lam * m_infinity(model) * model.service.tail(x))
+    relative accuracy, also where Phi(x) rounds to 1; 1 below the
+    service's support."""
+    conv = _convolve(model, x, False)
+    if conv is None:
+        return 1.0
+    return conv + model.lam * m_infinity(model) * model.service.tail(x)
 
 
 def aoi_cdf_stationary(model, x):
@@ -246,9 +328,6 @@ def aoi_cdf_stationary(model, x):
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        # below the service's support S(x) = 1 and the AoI cannot be <= x
-        if model.service.sf(x) == 1.0:
-            return 0.0
         val = 1.0 - _survival(model, x)
     else:
         val = _euler_invert(lambda s: aoi_lst(model, s) / s, x)
@@ -264,9 +343,8 @@ def aoi_pdf_stationary(model, x):
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
-        if model.service.sf(x) == 1.0:
-            return 0.0
-        return _convolve(model, x, True)
+        conv = _convolve(model, x, True)
+        return 0.0 if conv is None else conv
     return _euler_invert(lambda s: aoi_lst(model, s), x)
 
 

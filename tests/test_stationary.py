@@ -259,6 +259,20 @@ def test_inversion_tail_partial_preemption(service):
         assert np.all(np.diff(cdfs) >= 0.0)
 
 
+def test_euler_coefficients_match_partial_sum_form():
+    # the two Euler estimates as the binomial average of the last partial
+    # sums of t_k = 2 (-1)^k Re f(s_k), first term halved
+    n, stages = stationary._EULER_TERMS, stationary._EULER_STAGES
+    k = np.arange(n + stages + 1)
+    re_f = np.random.default_rng(7).standard_normal(k.size) / (1.0 + k)
+    terms = 2.0 * (-1.0) ** k * re_f
+    terms[0] = re_f[0]
+    partial = np.cumsum(terms)
+    w = np.array([math.comb(stages, j) for j in range(stages + 1)]) / 2.0 ** stages
+    want = [w @ partial[n:], w @ partial[n - 1:-1]]
+    np.testing.assert_allclose(re_f @ stationary._EULER_C, want, rtol=0, atol=1e-15)
+
+
 def test_inversion_flags_roundoff_blowup(monkeypatch):
     monkeypatch.setattr(stationary, "_EULER_A", 2000.0)
     model = StationaryModel(2.0, Exponential(1.0), 1.0)
@@ -457,6 +471,18 @@ def test_no_preemption_fast_arrivals_match_closed_forms(lam):
             assert aoi_pdf_stationary(model, x) >= 0.0
 
 
+@pytest.mark.parametrize("lam", [2000.0, 1e4])
+def test_no_preemption_atom_boundary_layer(lam):
+    # after the atom at d, D falls like e^{-lam (s - d)}; one 64-node panel
+    # over the 16 (E[S] + 1/lam) after d read the CDF 1.1e-8 (lam = 2000)
+    # and 4.3e-5 (lam = 1e4) off the closed form
+    model = StationaryModel(lam, Deterministic(1 / 1.2), 0.0)
+    for x in np.linspace(0.0, 10.0, 158)[1:]:
+        assert aoi_cdf_stationary(model, x) == pytest.approx(
+            closed_form_md11(lam, 1.2, x), abs=1e-13, rel=0.0)
+        assert aoi_pdf_stationary(model, x) >= 0.0
+
+
 def mm11_pdf(lam, mu, x):
     """Derivative of the M/M/1/1 closed form (lam != mu), in mpmath."""
     d = lam - mu
@@ -488,6 +514,56 @@ def test_no_preemption_exactly_zero_below_support(lam):
         model = StationaryModel(lam, svc, 0.0)
         assert aoi_cdf_stationary(model, x) == 0.0
         assert aoi_pdf_stationary(model, x) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the outer rule on [0, x]
+# ---------------------------------------------------------------------------
+
+def rule_abscissae(svc):
+    """b, 2b, b + 1e-9, b/2 (below the support of a law bounded below),
+    10 and 100, with b the first breakpoint, or the mean for a law with
+    none."""
+    b = (*svc.breakpoints(), svc.mean)[0]
+    return (b, 2 * b, b + 1e-9, 0.5 * b, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("lam", [0.4, 1.6, 1e4])
+@pytest.mark.parametrize("svc", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())
+def test_outer_rule_is_mirror_symmetric(svc, lam):
+    # one S evaluation at the nodes serves S(x - s) read backwards, which
+    # needs x - nodes[::-1] == nodes and palindromic weights
+    model = StationaryModel(lam, svc, 0.0)
+    for x in rule_abscissae(svc):
+        nodes, weights = stationary._outer_rule(model, x)
+        assert np.all(np.diff(nodes) >= 0.0)
+        assert 0.0 <= nodes[0] and nodes[-1] <= x
+        assert np.max(np.abs(x - nodes[::-1] - nodes)) <= 4 * np.finfo(float).eps * x
+        assert np.array_equal(weights, weights[::-1])
+        assert weights.sum() == pytest.approx(x, rel=1e-14, abs=0.0)
+
+
+def outer_rule_size(model, x):
+    """Node count of the outer rule as first defined: ceil(x / longest)
+    equal panels, longest = 16 (E[S] + 1/lam), cut at every breakpoint b
+    and x - b inside (0, x), 64 nodes per panel and 32 graded nodes at
+    either end."""
+    svc = model.service
+    longest = 16 * (svc.mean + 1 / model.lam)
+    cuts = set(np.linspace(0.0, x, math.ceil(x / longest) + 1))
+    cuts |= {p for b in svc.breakpoints() if 0 < b < x for p in (b, x - b)}
+    return 64 * (len(cuts) - 1) + 64
+
+
+@pytest.mark.parametrize("svc", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())
+def test_outer_rule_size_is_unchanged_on_the_benchmark_grid(svc):
+    # every x the stationary_curve benchmark can draw: 8 positions in each
+    # 0.25-wide cell around 0.25, ..., 10, and the tail points
+    xs = [c - 0.125 + 0.25 * (k + 0.5) / 8 for c in 0.25 * np.arange(1, 41) for k in range(8)]
+    for lam in (0.4, 0.8, 1.6):
+        model = StationaryModel(lam, svc, 0.0)
+        for x in (*xs, 20.0, 30.0, 40.0, 60.0, 100.0):
+            assert len(stationary._outer_rule(model, x)[0]) == outer_rule_size(model, x)
 
 
 def integrated_tail(svc, x):
