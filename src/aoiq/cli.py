@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, InversionError
+from .errors import ConfigError, ConvergenceError, InversionError, check, check_all
 from .model import (Constant, Sinusoid, PiecewiseConstant, Exponential,
                     Deterministic, Uniform, Gamma, Erlang, SystemConfig,
                     config_from_dict, service_from_dict)
@@ -92,10 +92,7 @@ def _require(sec, key, where):
 
 
 def _floats(value, where):
-    try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a list of numbers") from exc
+    out = check_all(value, where)
     if not out:
         raise ConfigError(f"{where} must be nonempty")
     return out
@@ -147,7 +144,7 @@ def _cmd_solve_tv(args):
     cfg = _load_config(args.config)
     system = config_from_dict(cfg)
     sec = _section(cfg, "solve_tv")
-    t = float(_require(sec, "t", "solve_tv"))
+    t = check(_require(sec, "t", "solve_tv"), "solve_tv.t", 0)
     xs = _floats(_require(sec, "xs", "solve_tv"), "solve_tv.xs")
     settings = _solver_settings(args, sec, horizon=t)
     idle = solve_idle_prob(system, settings)
@@ -163,7 +160,9 @@ def _cmd_solve_stationary(args):
         raise ConfigError("solve-stationary needs a constant-rate profile")
     sec = _section(cfg, "solve_stationary")
     xs = _floats(_require(sec, "xs", "solve_stationary"), "solve_stationary.xs")
-    want_pdf = bool(sec.get("pdf", False))
+    want_pdf = sec.get("pdf", False)
+    if not isinstance(want_pdf, bool):
+        raise ConfigError(f"solve_stationary.pdf must be true or false, got {want_pdf!r}")
     model = StationaryModel(system.rate.a, system.service, system.theta)
     rows = []
     for x in xs:
@@ -179,7 +178,7 @@ def _cmd_simulate(args):
     cfg = _load_config(args.config)
     system = config_from_dict(cfg)
     sec = _section(cfg, "simulate")
-    t = float(_require(sec, "t", "simulate"))
+    t = check(_require(sec, "t", "simulate"), "simulate.t", 0)
     xs = _floats(_require(sec, "xs", "simulate"), "simulate.xs")
     reps, seed = _sim_budget(args, sec.get("replications", 20000), sec.get("seed", 0))
     request = SimRequest(system, t, reps, seed)
@@ -201,24 +200,11 @@ def _cmd_optimize(args):
     service = service_from_dict(_require(cfg, "service", "config"))
     sec = _section(cfg, "optimize")
     schedule = ConstraintSchedule(
-        times=tuple(_floats(_require(sec, "times", "optimize"), "optimize.times")),
-        thresholds=tuple(_floats(_require(sec, "thresholds", "optimize"),
-                                 "optimize.thresholds")),
-        probabilities=tuple(_floats(_require(sec, "probabilities", "optimize"),
-                                    "optimize.probabilities")))
-    kwargs = {}
-    if "rate_grid" in sec:
-        kwargs["rate_grid"] = tuple(_floats(sec["rate_grid"], "optimize.rate_grid"))
-    for key in ("eps", "eta_spacing"):
-        if key in sec:
-            kwargs[key] = float(sec[key])
-    if "ite_max" in sec:
-        kwargs["ite_max"] = int(sec["ite_max"])
+        *(_require(sec, key, "optimize") for key in ("times", "thresholds", "probabilities")))
+    kwargs = {key: sec[key] for key in ("rate_grid", "eps", "ite_max", "eta_spacing")
+              if key in sec}
     settings = OptimizerSettings(grid_n=args.grid_n, **kwargs)
-    theta = sec.get("theta")
-    if theta is not None:
-        theta = float(theta)
-    result = optimize_rates(service, schedule, settings, theta=theta)
+    result = optimize_rates(service, schedule, settings, theta=sec.get("theta"))
     if not result.feasible:
         raise _infeasible("heuristic", result)
     rows = _plan_rows("heuristic", result.plan)

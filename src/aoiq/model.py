@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln, hyp1f1, xlogy
 
-from .errors import ConfigError
+from .errors import ConfigError, check, check_all
 
 __all__ = [
     "RateProfile", "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
@@ -63,8 +63,7 @@ class Constant(RateProfile):
     kind = "constant"
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ConfigError(f"constant rate must be >= 0, got {self.a}")
+        check(self.a, "constant rate a", 0)
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
@@ -90,10 +89,8 @@ class Sinusoid(RateProfile):
     kind = "sinusoid"
 
     def __post_init__(self):
-        if self.a < abs(self.b):
-            raise ConfigError(
-                f"sinusoid needs a >= |b| to stay nonnegative, got a={self.a}, b={self.b}")
-        if self.omega == 0:
+        check(self.a, "sinusoid a", abs(check(self.b, "sinusoid b")))
+        if check(self.omega, "sinusoid omega") == 0:
             raise ConfigError("sinusoid omega must be nonzero; use a constant profile")
 
     def rate(self, t):
@@ -122,18 +119,14 @@ class PiecewiseConstant(RateProfile):
     kind = "piecewise_constant"
 
     def __post_init__(self):
-        bp = tuple(float(b) for b in self.breakpoints)
-        rt = tuple(float(r) for r in self.rates)
+        bp = check_all(self.breakpoints, "breakpoints", increasing=True)
+        rt = check_all(self.rates, "rates", 0)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "rates", rt)
         if len(bp) != len(rt) + 1:
             raise ConfigError(
                 f"piecewise profile needs len(breakpoints) == len(rates)+1, "
                 f"got {len(bp)} and {len(rt)}")
-        if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
-            raise ConfigError("breakpoints must be strictly increasing")
-        if any(r < 0 for r in rt):
-            raise ConfigError("rates must be >= 0")
 
     def rate(self, t):
         t = np.asarray(t, dtype=float)
@@ -186,16 +179,12 @@ class Tabulated(RateProfile):
     _cum: tuple = field(default=(), compare=False, repr=False, init=False)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        g = np.array(check_all(self.grid, "tabulated grid", increasing=True))
+        v = np.array(check_all(self.values, "tabulated values", 0))
         object.__setattr__(self, "grid", tuple(g))
         object.__setattr__(self, "values", tuple(v))
         if g.size != v.size or g.size < 2:
             raise ConfigError("tabulated profile needs matching grid/values, len >= 2")
-        if np.any(np.diff(g) <= 0):
-            raise ConfigError("tabulated grid must be strictly increasing")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
-            raise ConfigError("tabulated values must be finite and >= 0")
         cum = np.concatenate([[0.0], np.cumsum(np.diff(g) * (v[:-1] + v[1:]) / 2.0)])
         object.__setattr__(self, "_cum", tuple(cum))
 
@@ -286,8 +275,7 @@ class Exponential(ServiceDistribution):
     kind = "exponential"
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ConfigError(f"exponential rate must be > 0, got {self.mu}")
+        check(self.mu, "exponential rate mu", 0, above=True)
 
     @property
     def mean(self):
@@ -329,8 +317,7 @@ class Deterministic(ServiceDistribution):
     kind = "deterministic"
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ConfigError(f"deterministic service time must be > 0, got {self.d}")
+        check(self.d, "deterministic service time d", 0, above=True)
 
     @property
     def mean(self):
@@ -383,10 +370,8 @@ class Uniform(ServiceDistribution):
             low, high = 0.0, low
         elif low is None:
             low = 0.0
-        object.__setattr__(self, "low", float(low))
-        object.__setattr__(self, "high", float(high))
-        if not (0 <= self.low < self.high):
-            raise ConfigError(f"uniform needs 0 <= low < high, got [{low}, {high}]")
+        object.__setattr__(self, "low", check(low, "uniform low", 0))
+        object.__setattr__(self, "high", check(high, "uniform high", self.low, above=True))
 
     @property
     def mean(self):
@@ -442,9 +427,8 @@ class Gamma(ServiceDistribution):
     kind = "gamma"
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ConfigError(
-                f"gamma needs shape > 0 and scale > 0, got ({self.shape}, {self.scale})")
+        check(self.shape, "gamma shape", 0, above=True)
+        check(self.scale, "gamma scale", 0, above=True)
 
     @property
     def mean(self):
@@ -498,9 +482,8 @@ class Erlang(Gamma):
     kind = "erlang"
 
     def __init__(self, n, scale):
-        if int(n) != n or n < 1:
-            raise ConfigError(f"erlang shape must be a positive integer, got {n}")
-        super().__init__(shape=int(n), scale=float(scale))
+        super().__init__(shape=check(n, "erlang shape n", 1, integer=True),
+                         scale=check(scale, "gamma scale", 0, above=True))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +500,7 @@ class SystemConfig:
     theta: float
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
+        check(self.theta, "theta", 0, 1)
 
 
 class GridFunction:
@@ -526,12 +508,10 @@ class GridFunction:
     Evaluation outside [t0, t0 + n*h] raises."""
 
     def __init__(self, t0, h, values):
-        if h <= 0:
-            raise ConfigError(f"grid step must be > 0, got {h}")
-        self.t0 = float(t0)
-        self.h = float(h)
-        self.values = np.asarray(values, dtype=float)
-        if self.values.ndim != 1 or self.values.size < 2:
+        self.t0 = check(t0, "grid start t0")
+        self.h = check(h, "grid step h", 0, above=True)
+        self.values = np.array(check_all(values, "grid values"))
+        if self.values.size < 2:
             raise ConfigError("grid values must be a 1-d array with >= 2 nodes")
 
     @property
@@ -641,9 +621,6 @@ def config_from_dict(doc):
     or under an explicit 'params' sub-object)."""
     if "rate" not in doc or "service" not in doc or "theta" not in doc:
         raise ConfigError("config needs 'rate', 'service' and 'theta' keys")
-    theta = doc["theta"]
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-        raise ConfigError(f"theta must be a number, got {theta!r}")
     return SystemConfig(rate=rate_from_dict(doc["rate"]),
                         service=service_from_dict(doc["service"]),
-                        theta=float(theta))
+                        theta=check(doc["theta"], "theta", 0, 1))

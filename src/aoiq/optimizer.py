@@ -12,11 +12,12 @@ the loop repeats, up to ite_max rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check, check_all
 from .model import Exponential, Deterministic, Uniform, Gamma, PiecewiseConstant, SystemConfig
 from .stationary import StationaryModel, aoi_cdf_stationary
 from .tv_solver import SolverSettings, solve_idle_prob, aoi_cdf_tv
@@ -39,9 +40,11 @@ class ConstraintSchedule:
     probabilities: tuple
 
     def __post_init__(self):
-        times = tuple(float(v) for v in self.times)
-        xs = tuple(float(v) for v in self.thresholds)
-        ps = tuple(float(v) for v in self.probabilities)
+        times = check_all(self.times, "schedule times", increasing=True)
+        xs = check_all(self.thresholds, "thresholds", 0, above=True)
+        # p < 1 is p <= the largest double below 1
+        ps = check_all(self.probabilities, "probabilities", 0, math.nextafter(1.0, 0.0),
+                       above=True)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "thresholds", xs)
         object.__setattr__(self, "probabilities", ps)
@@ -51,12 +54,6 @@ class ConstraintSchedule:
             raise ConfigError(
                 f"schedule needs n+1 times, n thresholds, n probabilities; "
                 f"got {len(times)}, {len(xs)}, {len(ps)}")
-        if any(b <= a for a, b in zip(times[:-1], times[1:])):
-            raise ConfigError("schedule times must be strictly increasing")
-        if any(x <= 0 for x in xs):
-            raise ConfigError("thresholds must be > 0")
-        if any(not 0.0 < p < 1.0 for p in ps):
-            raise ConfigError("probabilities must lie in (0, 1)")
         for i, x in enumerate(xs):
             if x >= times[i + 1] - times[i]:
                 raise ConfigError(
@@ -83,18 +80,14 @@ class PiecewiseRatePlan:
     rates: tuple
 
     def __post_init__(self):
-        bps = tuple(float(v) for v in self.breakpoints)
-        rates = tuple(float(v) for v in self.rates)
+        bps = check_all(self.breakpoints, "plan breakpoints", increasing=True)
+        rates = check_all(self.rates, "plan rates", 0)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "rates", rates)
         if len(bps) != len(rates) + 1:
             raise ConfigError(
                 f"plan needs len(breakpoints) == len(rates)+1, got "
                 f"{len(bps)} and {len(rates)}")
-        if any(b <= a for a, b in zip(bps[:-1], bps[1:])):
-            raise ConfigError("plan breakpoints must be strictly increasing")
-        if any(r < 0 for r in rates):
-            raise ConfigError("plan rates must be >= 0")
 
     @property
     def cost(self):
@@ -128,20 +121,13 @@ class OptimizerSettings:
     grid_n: int | None = None
 
     def __post_init__(self):
-        grid = tuple(float(v) for v in self.rate_grid)
+        grid = check_all(self.rate_grid, "rate_grid", 0, above=True, increasing=True)
         object.__setattr__(self, "rate_grid", grid)
         if not grid:
             raise ConfigError("rate_grid must be nonempty")
-        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-            raise ConfigError("rate_grid must be strictly ascending")
-        if grid[0] <= 0:
-            raise ConfigError("rate_grid entries must be > 0")
-        if self.eps <= 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
-        if self.ite_max < 1:
-            raise ConfigError(f"ite_max must be >= 1, got {self.ite_max}")
-        if self.eta_spacing <= 0:
-            raise ConfigError(f"eta_spacing must be > 0, got {self.eta_spacing}")
+        check(self.eps, "eps", 0, above=True)
+        check(self.ite_max, "ite_max", 1, integer=True)
+        check(self.eta_spacing, "eta_spacing", 0, above=True)
         # a bad grid_n fails here, not at the first audit
         SolverSettings(grid_n=self.grid_n)
 
@@ -263,8 +249,7 @@ def _refine(schedule, service, theta, settings, windows):
     stopping at the first window that finds none (infeasible), and audits
     the plan; each violating node bumps its interval's target by eps."""
     settings = settings or OptimizerSettings()
-    if theta is None:
-        theta = choose_theta(service)
+    theta = choose_theta(service) if theta is None else check(theta, "theta", 0, 1)
     bps, active = windows
     xs = schedule.thresholds
     targets = list(schedule.probabilities)

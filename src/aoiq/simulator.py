@@ -19,12 +19,11 @@ drawn before the march, service times only for real arrivals.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check
 from .model import SystemConfig, rate_at
 
 __all__ = ["SimRequest", "simulate_aoi_at", "empirical_cdf"]
@@ -43,13 +42,9 @@ class SimRequest:
     seed: int
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ConfigError(f"evaluation time must be >= 0, got {self.t}")
-        for name, least in (("replications", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-                    or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        check(self.t, "evaluation time t", 0)
+        check(self.replications, "replications", 1, integer=True)
+        check(self.seed, "seed", 0, integer=True)
 
 
 def _envelope(profile, t):

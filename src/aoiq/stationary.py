@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import gauss_rule, graded_rule
-from .errors import ConfigError, InversionError
+from .errors import ConfigError, InversionError, check
 
 __all__ = [
     "StationaryModel",
@@ -104,10 +104,8 @@ class StationaryModel:
     theta: float
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConfigError(f"stationary model needs lambda > 0, got {self.lam}")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ConfigError(f"theta must be in [0, 1], got {self.theta}")
+        check(self.lam, "stationary rate lambda", 0, above=True)
+        check(self.theta, "theta", 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +121,6 @@ def m_infinity(model):
         return 1.0 / (1.0 + model.lam * model.service.mean)
     fl = float(np.real(model.service.lst(model.lam * th)))
     return th * fl / (1.0 - (1.0 - th) * fl)
-
-
-def _abscissa(x):
-    """x as a float; an AoI value must be finite."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ConfigError(f"AoI abscissa x must be finite, got {x}")
-    return x
 
 
 @functools.cache
@@ -208,7 +198,7 @@ def m_x_stationary(model, x):
                              (theta + (1-theta) e^{-lam (x-v)}) dv,
     c = theta + (1-theta) M(inf): M(inf) (F(x) - exp_convolved(lam, x)) at
     theta = 0, one sum over the outer rule on [0, x] for theta > 0."""
-    x = _abscissa(x)
+    x = check(x, "AoI abscissa x")
     if x <= 0:
         return 0.0
     lam, th, svc = model.lam, model.theta, model.service
@@ -324,7 +314,7 @@ def aoi_cdf_stationary(model, x):
         1 - Phi(x) = T[D](x) + lam M(inf) int_x^inf S(z) dz,
     all terms >= 0, so the tail keeps its relative accuracy; theta > 0:
     the inversion of Phi~(s)/s."""
-    x = _abscissa(x)
+    x = check(x, "AoI abscissa x")
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
@@ -339,7 +329,7 @@ def aoi_pdf_stationary(model, x):
     Phi~(s) for theta > 0. The inversion is known to lose accuracy near
     x = 0 when the true density does not vanish there; the CDF route is the
     primary contract."""
-    x = _abscissa(x)
+    x = check(x, "AoI abscissa x")
     if x <= 0:
         return 0.0
     if model.theta == 0.0:

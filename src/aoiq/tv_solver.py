@@ -26,7 +26,6 @@ residual above SolverSettings.etol = 1e-8 raises ConvergenceError.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import _kernels
 from ._quad import composite_gauss
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, check
 from .model import GridFunction, SystemConfig, rate_at
 
 __all__ = [
@@ -61,13 +60,10 @@ class SolverSettings:
     etol: ClassVar[float] = 1e-8
 
     def __post_init__(self):
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError(f"horizon must be > 0, got {self.horizon}")
-        if self.grid_n is not None and (
-                isinstance(self.grid_n, bool)
-                or not isinstance(self.grid_n, numbers.Integral)
-                or self.grid_n < 2):
-            raise ConfigError(f"grid_n must be an integer >= 2, got {self.grid_n!r}")
+        if self.horizon is not None:
+            check(self.horizon, "horizon", 0, above=True)
+        if self.grid_n is not None:
+            check(self.grid_n, "grid_n", 2, integer=True)
 
 
 class IdleProbabilityCurve:
@@ -168,8 +164,8 @@ def kernel_gz(config, idle, t, y):
     (theta + (1-theta) M(t-z, inf)) exp(-theta int_{t-z}^t lambda) dF(z).
     Raises ConfigError when the idle curve does not cover t.
     """
-    if y < 0 or t < y:
-        raise ValueError(f"kernel_gz needs t >= y >= 0, got t={t}, y={y}")
+    y = check(y, "y", 0)
+    t = check(t, "t", y)
     _require_cover(idle, t)
     if y == 0:
         return 0.0
@@ -191,8 +187,7 @@ def m_tx(config, idle, t, x):
     evaluation of int_{t-x}^{t} G_z(r, x-t+r, 0) exp(-int_r^t lambda) dr.
     Raises ConfigError when the idle curve does not cover t.
     """
-    if t < 0 or x < 0:
-        raise ValueError(f"m_tx needs t, x >= 0, got t={t}, x={x}")
+    t, x = check(t, "t", 0), check(x, "x", 0)
     _require_cover(idle, t)
     if t < x:
         return float(idle(t))
@@ -221,8 +216,7 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     too coarse for the implicit step: h * lambda_max * theta must stay
     below 1.
     """
-    if t < 0 or x < 0:
-        raise ValueError(f"aoi_cdf_tv needs t, x >= 0, got t={t}, x={x}")
+    t, x = check(t, "t", 0), check(x, "x", 0)
     if x >= t:
         return 1.0
     if x == 0:
@@ -266,8 +260,7 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
 def aoi_cdf_negligible(profile, t, x):
     """P(Delta(t) <= x) when processing is instantaneous:
     1 - exp(-int_{t-x}^{t} lambda) for t > x, else 1."""
-    if t < 0 or x < 0:
-        raise ValueError(f"aoi_cdf_negligible needs t, x >= 0, got t={t}, x={x}")
+    t, x = check(t, "t", 0), check(x, "x", 0)
     if t <= x:
         return 1.0
     return float(-np.expm1(-profile.integral(t - x, t)))
@@ -276,8 +269,7 @@ def aoi_cdf_negligible(profile, t, x):
 def mean_aoi_negligible(profile, t):
     """E[Delta(t)] with instantaneous processing:
     int_0^t exp(-int_{t-x}^{t} lambda) dx by composite quadrature."""
-    if t < 0:
-        raise ValueError(f"mean_aoi_negligible needs t >= 0, got {t}")
+    t = check(t, "t", 0)
     if t == 0:
         return 0.0
     # the integrand kinks where t - x crosses a profile breakpoint

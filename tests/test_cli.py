@@ -198,6 +198,47 @@ def test_non_integer_simulation_counts_are_config_errors(tmp_path, capsys, key, 
     assert expect_error_record(err)["error"] == "ConfigError"
 
 
+OPT_DOC = {"service": {"kind": "exponential", "mu": 1.0},
+           "optimize": {"times": [0.0, 10.0], "thresholds": [1.0], "probabilities": [0.5]}}
+
+
+def _with(doc, path, value):
+    """A copy of doc with doc[path[0]]...[path[-1]] set to value."""
+    doc = json.loads(json.dumps(doc))
+    sec = doc
+    for key in path[:-1]:
+        sec = sec[key]
+    sec[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, name", [
+    ("solve-stationary", _with(MM_DOC, ("service", "mu"), True), "mu"),
+    ("solve-tv", _with(MM_DOC, ("rate", "a"), math.nan), "rate a"),
+    ("solve-stationary", _with(dict(MM_DOC, theta=0.5), ("rate", "a"), math.nan), "rate a"),
+    ("solve-stationary", _with(MM_DOC, ("service", "mu"), math.nan), "mu"),
+    ("simulate", dict(MM_DOC, simulate={"t": math.inf, "xs": [1.0], "replications": 10}),
+     "simulate.t"),
+    ("optimize", _with(OPT_DOC, ("optimize", "eps"), math.nan), "eps"),
+    ("optimize", _with(OPT_DOC, ("optimize", "ite_max"), 2.7), "ite_max"),
+    ("optimize", _with(OPT_DOC, ("optimize", "theta"), True), "theta"),
+    ("solve-stationary", dict(MM_DOC, solve_stationary={"xs": [1.0], "pdf": "no"}),
+     "solve_stationary.pdf"),
+    ("solve-stationary", dict(MM_DOC, solve_stationary={"xs": [True]}),
+     "solve_stationary.xs"),
+], ids=["mu-true", "tv-rate-nan", "inversion-rate-nan", "theta0-mu-nan", "sim-t-inf",
+        "eps-nan", "ite-max-2.7", "optimize-theta-true", "pdf-no", "xs-true"])
+def test_raw_config_values_are_checked(tmp_path, capsys, command, doc, name):
+    doc = dict({"solve_tv": {"t": 2.0, "xs": [1.0]},
+                "solve_stationary": {"xs": [1.0]}}, **doc)
+    cfg = write_cfg(tmp_path, doc)
+    rc, out, err = run(capsys, [command, "--config", cfg])
+    assert rc == 2 and out == ""
+    record = expect_error_record(err)
+    assert record["error"] == "ConfigError"
+    assert name in record["message"]
+
+
 def test_convergence_budget_maps_to_numeric_exit(tmp_path, capsys, monkeypatch):
     # a bound below the rounding floor: the residual certificate must fail
     monkeypatch.setattr(SolverSettings, "etol", 1e-20)

@@ -280,6 +280,22 @@ def test_inversion_flags_roundoff_blowup(monkeypatch):
         aoi_cdf_stationary(model, 10.0)
 
 
+def test_inversion_flags_drift_between_euler_estimates():
+    # 1/(s(s+1)) inverts to 1 - e^{-x}; alternating noise growing with the
+    # series index leaves the last two Euler estimates far apart
+    def clean(s):
+        return 1.0 / (s * (s + 1.0))
+
+    def noisy(s):
+        k = np.arange(s.size)
+        return clean(s) + 1e-3 * (-1.0) ** k * (1.0 + k)
+
+    assert stationary._euler_invert(clean, 1.0) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
+    with pytest.raises(InversionError, match="disagree") as info:
+        stationary._euler_invert(noisy, 1.0)
+    assert info.value.diagnostics["drift"] > 0.1
+
+
 # ---------------------------------------------------------------------------
 # stationary CDF / PDF without preemption
 # ---------------------------------------------------------------------------
