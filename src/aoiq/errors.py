@@ -63,13 +63,13 @@ def check(value, name, low=-math.inf, high=math.inf, above=False, integer=False)
 
 
 def check_all(values, name, low=-math.inf, high=math.inf, above=False,
-              integer=False, increasing=False):
+              increasing=False):
     """`check` on each entry of `values`, as a tuple; with `increasing` the
     entries must also be strictly increasing. An array is read through
     tolist(), whose plain floats take check's fast path."""
     values = values.tolist() if hasattr(values, "tolist") else values
     try:
-        out = tuple(check(v, name, low, high, above, integer) for v in values)
+        out = tuple(check(v, name, low, high, above) for v in values)
     except TypeError as exc:
         raise ConfigError(f"{name} must be a sequence of numbers, got {values!r}") from exc
     if increasing and any(b <= a for a, b in zip(out, out[1:])):

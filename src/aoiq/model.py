@@ -477,13 +477,16 @@ class Gamma(ServiceDistribution):
 
 
 class Erlang(Gamma):
-    """Gamma with integer shape n >= 1."""
+    """Gamma with integer shape n >= 1 (an integral float such as 5.0 is
+    stored as the int 5)."""
 
     kind = "erlang"
 
     def __init__(self, n, scale):
-        super().__init__(shape=check(n, "erlang shape n", 1, integer=True),
-                         scale=check(scale, "gamma scale", 0, above=True))
+        check(n, "erlang shape n", 1)
+        if int(n) != n:
+            raise ConfigError(f"erlang shape n must be an integer, got {n!r}")
+        super().__init__(shape=int(n), scale=check(scale, "erlang scale", 0, above=True))
 
 
 # ---------------------------------------------------------------------------

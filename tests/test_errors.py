@@ -137,6 +137,15 @@ def test_non_finite_or_bool_parameter_is_a_config_error(entry, value):
 def test_checked_values_keep_their_stored_types():
     assert Erlang(np.int64(5), 1).shape == 5 and type(Erlang(5, 1).shape) is int
     assert Erlang(5, 1).scale == 1.0 and type(Erlang(5, 1).scale) is float
+    assert Erlang(5.0, 0.5) == Erlang(5, 0.5) and type(Erlang(5.0, 0.5).shape) is int
+    assert type(Erlang(np.float64(5), 0.5).shape) is int
+    assert config_from_dict({"rate": {"kind": "constant", "a": 1},
+                             "service": {"kind": "erlang", "n": 5.0, "scale": 0.5},
+                             "theta": 0}).service == Erlang(5, 0.5)
+    with pytest.raises(ConfigError, match="^erlang shape n must be an integer"):
+        Erlang(2.5, 1.0)
+    with pytest.raises(ConfigError, match="^erlang scale must be"):
+        Erlang(2, 0.0)
     assert repr(Exponential(2)) == "Exponential(mu=2)"
     assert repr(Uniform(2)) == "Uniform(low=0.0, high=2.0)"
     assert PiecewiseConstant([0, 1], [np.float64(2)]).rates == (2.0,)
