@@ -1,14 +1,14 @@
-"""Composite Gauss-Legendre quadrature with kink splitting.
+"""Composite Gauss-Legendre quadrature.
 
 One primitive, `gauss_panels`, integrates a vectorized f over every panel
 of an edge list with a single call of f on the (panels x nodes) array of
-the panels' nodes; `composite_gauss` sums its 64-node form over the
-segments between breakpoints. `gauss_rule` is the rule itself on [-1, 1]
-and `graded_rule` the rule on [0, 1] after the substitution s = t^4, for
-an end where the integrand behaves like s^k: from these unit templates the
-stationary route builds its mirrored rule on [0, x] (64 nodes per panel,
-32 graded nodes at either end). The negligible-processing mean uses 64
-nodes, the Volterra solvers' product weights 2 per grid cell.
+the panels' nodes; a caller splits the edges at the integrand's kinks.
+`gauss_rule` is the rule itself on [-1, 1] and `graded_rule` the rule on
+[0, 1] after the substitution s = t^4, for an end where the integrand
+behaves like s^k: from these unit templates the stationary route builds
+its mirrored rule on [0, x] (64 nodes per panel, 32 graded nodes at either
+end). The negligible-processing mean uses 64 nodes per panel, the Volterra
+solvers' product weights 2 per grid cell.
 """
 
 import numpy as np
@@ -46,11 +46,3 @@ def gauss_panels(f, edges, npts):
     vals = np.asarray(f(mid[:, None] + half[:, None] * x), dtype=float)
     return half * (vals @ w)
 
-
-def composite_gauss(f, a, b, breakpoints=()):
-    """Integral of a vectorized f over [a, b], one Gauss panel per smooth
-    segment between breakpoints."""
-    if b <= a:
-        return 0.0
-    edges = sorted({a, b, *(float(p) for p in breakpoints if a < p < b)})
-    return float(np.sum(gauss_panels(f, edges, 64)))

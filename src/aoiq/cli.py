@@ -29,8 +29,8 @@ from .model import (Constant, Sinusoid, PiecewiseConstant, Exponential,
 from .tv_solver import SolverSettings, solve_idle_prob, aoi_cdf_tv
 from .stationary import StationaryModel, aoi_cdf_stationary, aoi_pdf_stationary
 from .simulator import SimRequest, empirical_cdf
-from .optimizer import (ConstraintSchedule, OptimizerSettings, choose_theta,
-                        optimize_rates, benchmark_constant_rate)
+from .optimizer import (ConstraintSchedule, OptimizerSettings, optimize_rates,
+                        benchmark_constant_rate)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,10 +146,8 @@ def _cmd_solve_tv(args):
     sec = _section(cfg, "solve_tv")
     t = check(_require(sec, "t", "solve_tv"), "solve_tv.t", 0)
     xs = _floats(_require(sec, "xs", "solve_tv"), "solve_tv.xs")
-    settings = _solver_settings(args, sec, horizon=t)
-    idle = solve_idle_prob(system, settings)
-    rows = [(t, x, aoi_cdf_tv(system, t, x, settings=settings, idle=idle))
-            for x in xs]
+    idle = solve_idle_prob(system, _solver_settings(args, sec, horizon=t))
+    rows = [(t, x, aoi_cdf_tv(system, t, x, idle=idle)) for x in xs]
     return {"command": "solve-tv", "columns": ["t", "x", "phi"], "rows": rows}
 
 
@@ -234,10 +232,9 @@ def _phi_and_sim(args, system, ts, xs, reps, seed):
     from one idle solve on [0, ts[-1]] and one simulation request per t
     (the i-th time uses seed + 1000 i)."""
     reps, seed = _sim_budget(args, reps, seed)
-    settings = _solver_settings(args, {}, horizon=float(ts[-1]))
-    idle = solve_idle_prob(system, settings)
-    phi = [[aoi_cdf_tv(system, float(t), float(x), settings=settings, idle=idle)
-            for x in xs] for t in ts]
+    idle = solve_idle_prob(system, _solver_settings(args, {}, horizon=float(ts[-1])))
+    phi = [[aoi_cdf_tv(system, float(t), float(x), idle=idle) for x in xs]
+           for t in ts]
     emp = [empirical_cdf(SimRequest(system, float(t), reps, seed + 1000 * i), xs)
            for i, t in enumerate(ts)]
     return np.array(phi), np.array(emp)

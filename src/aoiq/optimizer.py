@@ -149,13 +149,15 @@ class OptimizeResult:
 def choose_theta(service):
     """Preemption policy from the service law: preempt (1) exactly when a
     fresh draw is never worse than the elapsed one (memoryless or
-    decreasing-hazard laws); otherwise finish what was started (0)."""
+    decreasing-hazard laws: the exponential, and a Gamma or Erlang of shape
+    <= 1, whose shape 1 is the exponential); otherwise finish what was
+    started (0)."""
     if isinstance(service, Exponential):
         return 1.0
     if isinstance(service, (Deterministic, Uniform)):
         return 0.0
     if isinstance(service, Gamma):
-        return 0.0 if service.shape >= 1.0 else 1.0
+        return 0.0 if service.shape > 1.0 else 1.0
     raise ConfigError(f"no preemption policy for service kind {service.kind!r}")
 
 
@@ -191,6 +193,9 @@ def stationary_rate_search(service, theta, active, settings, _cache=None):
     Phi(x) >= p for every (x, p) in `active`; None when no entry does."""
     if not active:
         raise ConfigError("stationary_rate_search needs at least one constraint")
+    # x > 0 as in a schedule; p up to 1, the cap of a raised target
+    active = [(check(x, "threshold", 0, above=True), check(p, "probability", 0, 1))
+              for x, p in active]
     if any(p >= 1.0 for _, p in active):
         return None
     cache = _cache if _cache is not None else {}
@@ -231,12 +236,11 @@ def evaluate_plan(plan, schedule, service, theta, settings):
     [(eta, k, achieved, required, ok)] for every audit node. Independent of
     the search loop, so a feasibility claim can be re-checked from scratch."""
     config = SystemConfig(plan.profile(), service, theta)
-    solver = SolverSettings(horizon=schedule.times[-1], grid_n=settings.grid_n)
-    idle = solve_idle_prob(config, solver)
+    idle = solve_idle_prob(config, SolverSettings(horizon=schedule.times[-1],
+                                                  grid_n=settings.grid_n))
     rows = []
     for eta, k in _eta_nodes(schedule, settings.eta_spacing):
-        phi = aoi_cdf_tv(config, eta, schedule.thresholds[k], settings=solver,
-                         idle=idle)
+        phi = aoi_cdf_tv(config, eta, schedule.thresholds[k], idle=idle)
         req = schedule.probabilities[k]
         rows.append((eta, k, phi, req, phi >= req))
     return rows

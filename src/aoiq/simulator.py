@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check
+from .errors import ConfigError, check, check_all
 from .model import SystemConfig, rate_at
 
 __all__ = ["SimRequest", "simulate_aoi_at", "empirical_cdf"]
@@ -130,6 +130,7 @@ def empirical_cdf(request, xs):
     blocks follow from the request alone, so the same request gives the
     same bits; a different `replications` changes every sample.
     """
+    xs = np.array(check_all(xs if np.ndim(xs) else [xs], "xs"))
     config, t, reps = request.config, request.t, request.replications
     mass = sum(lmax * (b - a) for a, b, lmax in _envelope(config.rate, t))
     rows = max(1, int(BLOCK_CANDIDATES // (mass + 10.0 * math.sqrt(mass) + 10.0)))
@@ -137,5 +138,4 @@ def empirical_cdf(request, xs):
         simulate_aoi_at(config, t, np.random.default_rng([request.seed, b]),
                         min(rows, reps - start))[0]
         for b, start in enumerate(range(0, reps, rows))]))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return np.searchsorted(samples, xs, side="right") / float(samples.size)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import gauss_rule, graded_rule
-from .errors import ConfigError, InversionError, check
+from .errors import ConfigError, InversionError, check, check_all
 
 __all__ = [
     "StationaryModel",
@@ -346,10 +346,15 @@ def _rates_close(lam, mu):
     return abs(lam - mu) < _EQ_RATE_DELTA * max(lam, mu)
 
 
+def _closed_form_args(lam, mu, x):
+    """(lam, mu, x) as floats, or ConfigError unless lam, mu > 0 and x is
+    finite."""
+    return check(lam, "lam", 0, above=True), check(mu, "mu", 0, above=True), check(x, "x")
+
+
 def closed_form_mm11(lam, mu, x):
     """M/M/1/1 without preemption (theta = 0), exponential service rate mu."""
-    if lam <= 0 or mu <= 0:
-        raise ConfigError("closed_form_mm11 needs lam, mu > 0")
+    lam, mu, x = _closed_form_args(lam, mu, x)
     if x <= 0:
         return 0.0
     if _rates_close(lam, mu):
@@ -365,10 +370,7 @@ def closed_form_mm11(lam, mu, x):
 
 def closed_form_md11(lam, mu, x):
     """M/D/1/1 without preemption; deterministic service time 1/mu."""
-    if lam <= 0 or mu <= 0:
-        raise ConfigError("closed_form_md11 needs lam, mu > 0")
-    if x < 0:
-        return 0.0
+    lam, mu, x = _closed_form_args(lam, mu, x)
     if x < 1.0 / mu:
         return 0.0
     if x < 2.0 / mu:
@@ -378,8 +380,7 @@ def closed_form_md11(lam, mu, x):
 
 def closed_form_mm11_preemptive(lam, mu, x):
     """M/M/1/1 with full preemption (theta = 1)."""
-    if lam <= 0 or mu <= 0:
-        raise ConfigError("closed_form_mm11_preemptive needs lam, mu > 0")
+    lam, mu, x = _closed_form_args(lam, mu, x)
     if x <= 0:
         return 0.0
     if _rates_close(lam, mu):
@@ -392,8 +393,8 @@ def closed_form_mm11_preemptive(lam, mu, x):
 def check_dominance(lam, mu, xs):
     """Dominance check: the full-preemption CDF dominates the
     non-preemptive one at every point of xs (vacuously true when empty)."""
-    for x in np.atleast_1d(np.asarray(xs, dtype=float)):
-        if closed_form_mm11_preemptive(lam, mu, float(x)) \
-                < closed_form_mm11(lam, mu, float(x)) - 1e-12:
+    lam, mu, _ = _closed_form_args(lam, mu, 0.0)
+    for x in check_all(xs if np.ndim(xs) else [xs], "xs"):
+        if closed_form_mm11_preemptive(lam, mu, x) < closed_form_mm11(lam, mu, x) - 1e-12:
             return False
     return True

@@ -1,10 +1,11 @@
 """Finite-time AoI distribution for the time-varying system.
 
 Solves the Volterra equations of the second kind behind Phi(t, x) on
-equally spaced grids, h <= 0.01 for every service law, with weights
-integrated exactly from the service CDF (`_kernels.moments`):
+equally spaced grids, h <= 0.01 for every service law, each sampled by
+`_grid`: lambda and Lambda at the nodes, and weights integrated exactly
+from the service CDF (`_kernels.moments`):
 
-* the idle-probability curve M(t, inf),
+* the idle-probability curve M(t, inf) on [0, T],
 * the completion-flux kernel G_z(t, y, 0) and the joint block M(t, x),
   explicit sums along the diagonal r = (t - x) + tau, and
 * the fixed-u equation for Phi-hat(u, x) (u = t - x held fixed), returning
@@ -32,9 +33,9 @@ from typing import ClassVar
 import numpy as np
 
 from . import _kernels
-from ._quad import composite_gauss
+from ._quad import gauss_panels
 from .errors import ConfigError, ConvergenceError, check
-from .model import GridFunction, SystemConfig, rate_at
+from .model import GridFunction, rate_at
 
 __all__ = [
     "SolverSettings", "IdleProbabilityCurve",
@@ -90,10 +91,15 @@ class IdleProbabilityCurve:
 _STEP = 0.01
 
 
-def _grid_count(settings, T):
-    if settings.grid_n is not None:
-        return settings.grid_n
-    return max(2, math.ceil(T / _STEP - 1e-12))
+def _grid(config, start, length, n):
+    """The model on n equal steps of [start, start + length]: the step h,
+    the nodes, lambda and Lambda (from start) at the nodes, and the
+    product-integration weights of the service law on n steps of h."""
+    h = length / n
+    nodes = start + np.linspace(0.0, length, n + 1)
+    lam = np.asarray(rate_at(config.rate, nodes), dtype=float)
+    Lam = np.asarray(config.rate.integral(start, nodes), dtype=float)
+    return h, nodes, lam, Lam, _kernels.moments(config.service, h, n)
 
 
 def _require_cover(idle, t):
@@ -123,13 +129,9 @@ def solve_idle_prob(config, settings):
     if settings.horizon is None:
         raise ConfigError("solve_idle_prob needs settings.horizon")
     T = settings.horizon
-    n = _grid_count(settings, T)
-    h = T / n
-    ts = np.linspace(0.0, T, n + 1)
-    lam = np.asarray(rate_at(config.rate, ts), dtype=float)
-    Lam = np.asarray(config.rate.integral(0.0, ts), dtype=float)
+    n = settings.grid_n or max(2, math.ceil(T / _STEP - 1e-12))
+    h, _, lam, Lam, mom = _grid(config, 0.0, T, n)
     theta = config.theta
-    mom = _kernels.moments(config.service, h, n)
 
     # w_i = e^{-theta Lam_i} + theta S_i[lam F] - (1 - theta) S_i[lam (1 - F) w]
     base = np.exp(-theta * Lam)
@@ -147,14 +149,13 @@ def solve_idle_prob(config, settings):
 # ---------------------------------------------------------------------------
 
 def _diagonal_arrays(config, idle, u, x):
-    """Shared grids for the diagonal slice r = u + tau, tau in [0, x], on
-    the fewest steps no longer than the idle curve's."""
-    m = max(2, math.ceil(x / idle.grid.h - 1e-12))
-    r = u + np.linspace(0.0, x, m + 1)
-    lam = np.asarray(rate_at(config.rate, r), dtype=float)
-    Lam = np.asarray(config.rate.integral(u, r), dtype=float)
+    """`_grid` on the diagonal slice r = u + tau, tau in [0, x], on the
+    fewest steps no longer than the idle curve's, and the arrival weight
+    c = lambda (theta + (1 - theta) M(r, inf)) at its nodes:
+    (h, lam, Lam, c, moments)."""
+    h, r, lam, Lam, mom = _grid(config, u, x, max(2, math.ceil(x / idle.grid.h - 1e-12)))
     c = lam * (config.theta + (1.0 - config.theta) * np.asarray(idle(r), dtype=float))
-    return x / m, lam, Lam, c, _kernels.moments(config.service, x / m, m)
+    return h, lam, Lam, c, mom
 
 
 def kernel_gz(config, idle, t, y):
@@ -210,7 +211,8 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     over [0, x] and returns the terminal node, clipped into [0, 1].
 
     A precomputed IdleProbabilityCurve covering [0, t] can be shared across
-    (t, x) queries via `idle`.
+    (t, x) queries via `idle`; its grid step then sets the step, and
+    `settings` only checks that its horizon, when set, is not below t.
 
     Raises ConfigError when `idle` does not cover t, and when the grid is
     too coarse for the implicit step: h * lambda_max * theta must stay
@@ -272,8 +274,7 @@ def mean_aoi_negligible(profile, t):
     t = check(t, "t", 0)
     if t == 0:
         return 0.0
-    # the integrand kinks where t - x crosses a profile breakpoint
-    kinks = [t - b for b in profile.breakpoints_in(0.0, t)]
-
-    return composite_gauss(lambda xs: np.exp(-profile.integral(t - xs, t)),
-                           0.0, t, kinks)
+    # one panel per smooth piece: the integrand kinks where t - x crosses a breakpoint
+    edges = sorted({0.0, t, *(t - b for b in profile.breakpoints_in(0.0, t))})
+    panels = gauss_panels(lambda xs: np.exp(-profile.integral(t - xs, t)), edges, 64)
+    return float(np.sum(panels))

@@ -334,6 +334,25 @@ def test_reproduce_fig2a(capsys):
         assert 0.0 <= analytic <= 1.0 and 0.0 <= simulated <= 1.0
 
 
+@pytest.mark.parametrize("figure, columns, rows", [
+    ("fig2b", ["series", "x", "analytic", "simulated"], 80),
+    ("fig4a", ["series", "t", "analytic", "simulated"], 160),
+    ("fig4b", ["series", "t", "analytic", "simulated"], 160),
+    ("fig5", ["series", "t", "analytic", "simulated"], 640),
+    ("fig7", ["series", "x", "cdf", "pdf", "simulated"], 480)],
+    ids=["fig2b", "fig4a", "fig4b", "fig5", "fig7"])
+def test_reproduce_preset_rows_are_finite(capsys, figure, columns, rows):
+    rc, out, err = run(capsys, ["reproduce-figure", "--figure", figure,
+                                "--replications", "20", "--format", "json"])
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["figure"] == figure and payload["columns"] == columns
+    assert len(payload["rows"]) == rows
+    for row in payload["rows"]:
+        assert len(row) == len(columns) and isinstance(row[0], str)
+        assert all(math.isfinite(v) for v in row[1:])
+
+
 def test_reproduce_fig6_has_stationary_column(capsys):
     rc, out, err = run(capsys, ["reproduce-figure", "--figure", "fig6",
                                 "--replications", "50", "--format", "json"])

@@ -9,14 +9,16 @@ from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   StationaryModel, aoi_cdf_stationary, aoi_pdf_stationary,
                   m_x_stationary, SolverSettings, solve_idle_prob, kernel_gz,
                   m_tx, aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
-                  SimRequest, ConstraintSchedule, PiecewiseRatePlan,
+                  SimRequest, empirical_cdf, ConstraintSchedule, PiecewiseRatePlan,
                   OptimizerSettings, optimize_rates, benchmark_constant_rate,
-                  ConfigError)
+                  stationary_rate_search, closed_form_mm11, closed_form_md11,
+                  closed_form_mm11_preemptive, check_dominance, ConfigError)
 from aoiq.errors import check, check_all
 
 CFG = SystemConfig(Constant(1.0), Exponential(1.2), 0.5)
 IDLE = solve_idle_prob(CFG, SolverSettings(horizon=2.0))
 SCHED = ConstraintSchedule((0.0, 5.0), (1.0,), (0.9,))
+SEARCH = OptimizerSettings(rate_grid=(1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +107,8 @@ ENTRY_POINTS = {
     "SimRequest.t": (lambda v: SimRequest(CFG, v, 10, 0), 1.0),
     "SimRequest.replications": (lambda v: SimRequest(CFG, 1.0, v, 0), 10),
     "SimRequest.seed": (lambda v: SimRequest(CFG, 1.0, 10, v), 0),
+    "empirical_cdf.xs": (
+        lambda v: empirical_cdf(SimRequest(CFG, 1.0, 10, 0), [v, 1.0]), 0.5),
     "ConstraintSchedule.times": (
         lambda v: ConstraintSchedule((0.0, v), (1.0,), (0.9,)), 5.0),
     "ConstraintSchedule.thresholds": (
@@ -117,10 +121,26 @@ ENTRY_POINTS = {
     "OptimizerSettings.eps": (lambda v: OptimizerSettings(eps=v), 0.01),
     "OptimizerSettings.ite_max": (lambda v: OptimizerSettings(ite_max=v), 3),
     "OptimizerSettings.eta_spacing": (lambda v: OptimizerSettings(eta_spacing=v), 0.5),
+    "stationary_rate_search.x": (lambda v: stationary_rate_search(
+        Exponential(1.2), 0.0, [(v, 0.5)], SEARCH), 1.0),
+    "stationary_rate_search.p": (lambda v: stationary_rate_search(
+        Exponential(1.2), 0.0, [(1.0, v)], SEARCH), 0.5),
     "optimize_rates.theta": (
         lambda v: optimize_rates(Exponential(1.0), SCHED, theta=v), 1.0),
     "benchmark_constant_rate.theta": (
         lambda v: benchmark_constant_rate(Exponential(1.0), SCHED, theta=v), 1.0),
+}
+# the closed-form oracles, each in lam, mu and x, and their dominance check
+for _form in (closed_form_mm11, closed_form_md11, closed_form_mm11_preemptive):
+    ENTRY_POINTS |= {
+        f"{_form.__name__}.lam": (lambda v, f=_form: f(v, 1.2, 1.0), 0.8),
+        f"{_form.__name__}.mu": (lambda v, f=_form: f(0.8, v, 1.0), 1.2),
+        f"{_form.__name__}.x": (lambda v, f=_form: f(0.8, 1.2, v), 1.0),
+    }
+ENTRY_POINTS |= {
+    "check_dominance.lam": (lambda v: check_dominance(v, 2.0, [1.0]), 1.0),
+    "check_dominance.mu": (lambda v: check_dominance(1.0, v, []), 2.0),
+    "check_dominance.xs": (lambda v: check_dominance(1.0, 2.0, [0.5, v]), 1.0),
 }
 
 
@@ -153,3 +173,22 @@ def test_checked_values_keep_their_stored_types():
     assert config_from_dict({"rate": {"kind": "constant", "a": 1},
                              "service": {"kind": "exponential", "mu": 1},
                              "theta": 1}).theta == 1.0
+
+
+def test_search_thresholds_and_probabilities_are_in_range():
+    # a target may be raised up to 1, where no rate meets it
+    assert stationary_rate_search(Exponential(1.2), 0.0, [(1.0, 1.0)], SEARCH) is None
+    assert stationary_rate_search(Exponential(1.2), 0.0, [(1.0, 0.0)], SEARCH) == 1.0
+    for pair, name in (((0.0, 0.5), "threshold"), ((-1.0, 0.5), "threshold"),
+                       ((1.0, 1.5), "probability"), ((1.0, -0.1), "probability")):
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            stationary_rate_search(Exponential(1.2), 0.0, [pair], SEARCH)
+
+
+def test_abscissa_lists_are_checked_and_a_scalar_is_one_point():
+    with pytest.raises(ConfigError, match="^xs must be a real number"):
+        empirical_cdf(SimRequest(CFG, 1.0, 10, 0), [True])
+    with pytest.raises(ConfigError, match="^xs must be finite"):
+        check_dominance(1.0, 2.0, math.nan)
+    assert empirical_cdf(SimRequest(CFG, 1.0, 10, 0), 2.0).tolist() == [1.0]
+    assert check_dominance(1.0, 2.0, 1.0)

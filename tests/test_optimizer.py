@@ -80,6 +80,9 @@ def test_choose_theta_policy_table():
     assert choose_theta(Erlang(5, 1 / 6)) == 0.0
     assert choose_theta(Gamma(2.0, 1.0)) == 0.0
     assert choose_theta(Gamma(0.5, 1.0)) == 1.0
+    # shape 1 is the exponential law, memoryless
+    assert choose_theta(Gamma(1.0, 2.0)) == 1.0
+    assert choose_theta(Erlang(1, 2.0)) == 1.0
 
 
 def test_choose_theta_rejects_unknown_service():
@@ -232,6 +235,16 @@ def test_fig8_plan_is_pinned():
     assert res.plan.rates == tuple(grid[i] for i in (
         19, 21, 21, 26, 26, 31, 31, 31, 26, 26, 21, 21, 19))
     assert res.plan.cost == pytest.approx(35.93873019, abs=1e-8)
+
+
+def test_exponential_spellings_give_one_plan():
+    # Gamma and Erlang of shape 1 are Exponential(1.2) written another way
+    results = [optimize_rates(svc, FIG8_SCHEDULE) for svc in
+               (Exponential(1.2), Gamma(1.0, 1 / 1.2), Erlang(1, 1 / 1.2))]
+    for res in results:
+        assert res.feasible and res.rounds == 1 and res.theta == 1.0
+        assert res.plan == results[0].plan
+    assert results[0].plan.cost == pytest.approx(39.17306393, abs=1e-8)
 
 
 def test_single_interval_end_to_end():
