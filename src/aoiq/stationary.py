@@ -28,6 +28,13 @@ last value, S(x), is the below-support test. The same rule gives
 m_x_stationary for theta > 0; at theta = 0 M = M(inf) (F - W) needs no
 quadrature.
 
+A call pays only for its x: StationaryModel derives M(inf), the LST
+constant (theta > 0) and the rule's panel bound, end cap and split points
+once, at construction. Up to x1 = min(panel bound, 16 E[S], first split
+point) the rule is one panel with quarter-length graded ends, whose four
+rows _rule lays out directly, to the same bits; beyond x1 _outer_rule lays
+out the rule.
+
 Closed forms for M/M/1/1, M/D/1/1 and M/M/1/1-preemptive serve as oracles,
 each with an analytic limit branch for lambda ~ mu.
 """
@@ -36,12 +43,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._quad import gauss_rule, graded_rule
 from .errors import ConfigError, InversionError, check, check_all
+from .model import ServiceDistribution
 
 __all__ = [
     "StationaryModel",
@@ -95,17 +103,56 @@ _END_SCALE = 4
 _LAYER = 40
 
 
+def _constant():
+    """A value __post_init__ derives from the parameters: left out of the
+    constructor, repr, == and hash."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class StationaryModel:
-    """Constant-rate M/G/1/1 instance."""
+    """Constant-rate M/G/1/1 instance. Construction also derives what every
+    CDF, PDF and M(x) call needs: M(inf), the LST constant c (theta > 0)
+    and the outer rule's panel bound, end cap and split points (see
+    _outer_rule), and _x1, the largest x whose rule is one panel (see
+    _rule)."""
 
     lam: float
-    service: object
+    service: ServiceDistribution
     theta: float
+    _minf: float = _constant()
+    _lst_c: float | None = _constant()
+    _longest: float = _constant()
+    _end_cap: float = _constant()
+    _splits: tuple = _constant()
+    _x1: float = _constant()
 
     def __post_init__(self):
         check(self.lam, "stationary rate lambda", 0, above=True)
-        check(self.theta, "theta", 0, 1)
+        th = check(self.theta, "theta", 0, 1)
+        svc = self.service
+        if not isinstance(svc, ServiceDistribution):
+            raise ConfigError(f"stationary service must be a ServiceDistribution, got {svc!r}")
+        # M(inf): theta F~(lam theta) / (1 - (1-theta) F~(lam theta)), at
+        # theta = 0 its L'Hospital limit 1 / (1 + lam E[S]); c as in aoi_lst
+        if th == 0.0:
+            minf, lst_c = 1.0 / (1.0 + self.lam * svc.mean), None
+        else:
+            fl = float(np.real(svc.lst(self.lam * th)))
+            minf = th * fl / (1.0 - (1.0 - th) * fl)
+            lst_c = self.lam * th / (1.0 - (1.0 - th) * fl)
+        longest = _PANEL_SCALE * (svc.mean + 1.0 / self.lam)
+        end_cap = _END_SCALE * svc.mean
+        layer = _LAYER / self.lam
+        splits = svc.breakpoints()
+        if layer < longest / _PANEL_NODES:
+            splits = (*splits, *(b + layer for b in splits))
+        # one panel (x <= longest), no split point inside (0, x), and ends
+        # of a quarter of x (x/4 <= end_cap)
+        x1 = min(longest, 4.0 * end_cap, *(b for b in splits if b > 0.0))
+        for name, value in (("_minf", minf), ("_lst_c", lst_c), ("_longest", longest),
+                            ("_end_cap", end_cap), ("_splits", splits), ("_x1", x1)):
+            object.__setattr__(self, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +162,8 @@ class StationaryModel:
 def m_infinity(model):
     """Stationary idle probability. theta > 0:
     theta*F~(lam*theta) / (1 - (1-theta)*F~(lam*theta)); theta = 0 is the
-    L'Hospital limit 1 / (1 + lam * mean)."""
-    th = model.theta
-    if th == 0.0:
-        return 1.0 / (1.0 + model.lam * model.service.mean)
-    fl = float(np.real(model.service.lst(model.lam * th)))
-    return th * fl / (1.0 - (1.0 - th) * fl)
+    L'Hospital limit 1 / (1 + lam * mean). Computed with the model."""
+    return model._minf
 
 
 @functools.cache
@@ -150,21 +193,16 @@ def _outer_rule(model, x):
     t^4 toward 0 and toward x, where S(v) and S(x - v) may behave like v^k
     (Gamma shape k). Only the left half is laid out, from the split points
     below x/2 (each point p of the full rule as min(p, x - p)), and then
-    mirrored."""
-    svc = model.service
+    mirrored. The panel bound, the end cap and the split points come from
+    the model."""
     half_x = 0.5 * x
-    longest = _PANEL_SCALE * (svc.mean + 1.0 / model.lam)
-    n = math.ceil(x / longest)
+    n = math.ceil(x / model._longest)
     step = x / n
     # with an even number of even panels, or a split at x/2, the halves
     # meet at a panel edge; otherwise the middle panel straddles x/2
     middle = n % 2 == 0
     cuts = {k * step for k in range(1, (n + 1) // 2)}
-    layer = _LAYER / model.lam
-    bps = svc.breakpoints()
-    if layer < longest / _PANEL_NODES:
-        bps = (*bps, *(b + layer for b in bps))
-    for b in bps:
+    for b in model._splits:
         if 0.0 < b < x:
             p = min(b, x - b)
             if p == half_x:
@@ -174,7 +212,7 @@ def _outer_rule(model, x):
     cuts = sorted(cuts)
     if middle:
         cuts.append(half_x)
-    first = min(0.25 * (cuts[0] if cuts else x), _END_SCALE * svc.mean)
+    first = min(0.25 * (cuts[0] if cuts else x), model._end_cap)
     # rows of _END_NODES nodes as (offset, scale, template): the graded
     # end, both halves of each panel and the left half of a panel that
     # straddles x/2, then each row's mirror image in reverse order
@@ -191,6 +229,26 @@ def _outer_rule(model, x):
     return nodes.ravel(), (scale * row_w.take(template, axis=0)).ravel()
 
 
+def _rule(model, x):
+    """(nodes, weights) of _outer_rule, with x appended to the nodes for the
+    S(x) test. Up to model._x1 the rule is one panel with quarter-length
+    ends and no split point, whose four rows are laid out here directly,
+    with the floating-point operations of _outer_rule: offsets 0, x/2,
+    x - x/2, x and scales x/4, x/2 - x/4, x/2 - x/4, x/4."""
+    if x > model._x1:
+        nodes, weights = _outer_rule(model, x)
+        return np.concatenate((nodes, (x,))), weights
+    quarter, half = 0.25 * x, 0.5 * x
+    inner = half - quarter
+    scale = np.array((quarter, inner, inner, quarter))[:, None]
+    row_t, row_w = _row_templates()
+    s = np.empty(row_t.size + 1)
+    s[-1] = x
+    np.add(np.array((0.0, half, x - half, x))[:, None], scale * row_t,
+           out=s[:-1].reshape(row_t.shape))
+    return s, (scale * row_w).ravel()
+
+
 def m_x_stationary(model, x):
     """Stationary M(x) = P(idle, AoI <= x) for every theta and service law.
     Integrating the density form by parts leaves only F:
@@ -203,10 +261,11 @@ def m_x_stationary(model, x):
         return 0.0
     lam, th, svc = model.lam, model.theta, model.service
     if th == 0.0:
-        val = m_infinity(model) * (svc.cdf(x) - svc.exp_convolved(lam, x))
+        val = model._minf * (svc.cdf(x) - svc.exp_convolved(lam, x))
     else:
-        v, w = _outer_rule(model, x)
-        c = th + (1.0 - th) * m_infinity(model)
+        s, w = _rule(model, x)
+        v = s[:-1]
+        c = th + (1.0 - th) * model._minf
         vals = svc.cdf(v) * np.exp(-lam * th * v) * (th + (1.0 - th) * np.exp(-lam * (x - v)))
         val = c * lam * float(vals @ w)
     return float(min(max(val, 0.0), 1.0))
@@ -233,32 +292,41 @@ def aoi_lst(model, s):
 
     with the constant c = lam theta / (1 - (1-theta) F~(lam*theta)).
     """
-    th = model.theta
-    if th == 0.0:
+    if model.theta == 0.0:
         raise ConfigError(
             "theta = 0 has no LST route here; aoi_cdf_stationary uses the "
             "convolution path instead")
-    lam, svc = model.lam, model.service
-    c = lam * th / (1.0 - (1.0 - th) * float(np.real(svc.lst(lam * th))))
-    s = np.asarray(s)
-    lp = lam + s
-    ftl = svc.lst(lam * th + s)
-    a = lam * ftl
-    out = c * ftl * (lp - (1.0 - th) * a) / (lp * (s + th * a))
+    out = _lst(np.asarray(s), model)
     return out if out.ndim else complex(out)
 
 
-def _euler_invert(fhat, x):
-    """Abate-Whitt Euler summation of the Bromwich series at time x."""
+def _lst(s, model):
+    """aoi_lst on an array s, theta > 0, with c from the model."""
+    lam, th = model.lam, model.theta
+    lp = lam + s
+    ftl = model.service.lst(lam * th + s)
+    a = lam * ftl
+    return model._lst_c * ftl * (lp - (1.0 - th) * a) / (lp * (s + th * a))
+
+
+def _lst_over_s(s, model):
+    """Phi~(s) / s, the transform of the CDF."""
+    return _lst(s, model) / s
+
+
+def _euler_invert(fhat, x, *args):
+    """Abate-Whitt Euler summation of the Bromwich series of fhat(s, *args)
+    (an array on the array s) at time x."""
     a = _EULER_A
-    s = _EULER_S / x
     with np.errstate(over="raise", invalid="raise"):
         try:
-            vals = np.asarray(fhat(s), dtype=complex)
+            s = _EULER_S / x
+            vals = fhat(s, *args)
             # successive Euler-averaged estimates agree to ~1e-9 when the
             # series is healthy; a large gap means roundoff has taken over
-            value, previous = (math.exp(a / 2.0) / (2.0 * x)
-                               * (np.real(vals) @ _EULER_C)).tolist()
+            scale = math.exp(a / 2.0) / (2.0 * x)
+            value, previous = (vals.real @ _EULER_C).tolist()
+            value, previous = scale * value, scale * previous
             drift = abs(value - previous)
         except (FloatingPointError, OverflowError) as exc:
             raise InversionError(
@@ -287,13 +355,11 @@ def _convolve(model, x, density):
     evaluation on (nodes, x) serves g and, reversed on the mirrored rule,
     S(x - s). None below the service's support (S(x) = 1), where the AoI
     cannot be <= x."""
-    lam, svc = model.lam, model.service
-    nodes, weights = _outer_rule(model, x)
-    s = np.concatenate((nodes, (x,)))
+    lam, svc, minf = model.lam, model.service, model._minf
+    s, weights = _rule(model, x)
     sv = svc.sf(s)
     if sv[-1] == 1.0:
         return None
-    minf = m_infinity(model)
     w = svc.exp_convolved(lam, s)
     g = lam * minf * w if density else minf * (sv + w)
     return float(g[-1]) + lam * float((g[:-1] * sv[-2::-1]) @ weights)
@@ -306,7 +372,7 @@ def _survival(model, x):
     conv = _convolve(model, x, False)
     if conv is None:
         return 1.0
-    return conv + model.lam * m_infinity(model) * model.service.tail(x)
+    return conv + model.lam * model._minf * model.service.tail(x)
 
 
 def aoi_cdf_stationary(model, x):
@@ -320,7 +386,7 @@ def aoi_cdf_stationary(model, x):
     if model.theta == 0.0:
         val = 1.0 - _survival(model, x)
     else:
-        val = _euler_invert(lambda s: aoi_lst(model, s) / s, x)
+        val = _euler_invert(_lst_over_s, x, model)
     return min(max(val, 0.0), 1.0)
 
 
@@ -335,7 +401,7 @@ def aoi_pdf_stationary(model, x):
     if model.theta == 0.0:
         conv = _convolve(model, x, True)
         return 0.0 if conv is None else conv
-    return _euler_invert(lambda s: aoi_lst(model, s), x)
+    return _euler_invert(_lst, x, model)
 
 
 # ---------------------------------------------------------------------------

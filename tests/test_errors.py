@@ -192,3 +192,32 @@ def test_abscissa_lists_are_checked_and_a_scalar_is_one_point():
         check_dominance(1.0, 2.0, math.nan)
     assert empirical_cdf(SimRequest(CFG, 1.0, 10, 0), 2.0).tolist() == [1.0]
     assert check_dominance(1.0, 2.0, 1.0)
+
+
+# a service or rate that is not a law fails at construction, naming the
+# parameter, instead of with an AttributeError in the first evaluation
+NOT_A_LAW = {
+    "StationaryModel.service=None": (lambda: StationaryModel(0.8, None, 0.0),
+                                     "stationary service"),
+    "StationaryModel.service=str": (lambda: StationaryModel(0.8, "exp", 0.3),
+                                    "stationary service"),
+    "StationaryModel.service=float": (lambda: StationaryModel(0.8, 1.2, 0.0),
+                                      "stationary service"),
+    "StationaryModel.service=class": (lambda: StationaryModel(0.8, Exponential, 0.3),
+                                      "stationary service"),
+    "SystemConfig.service=None": (lambda: SystemConfig(Constant(1.0), None, 0.5),
+                                  "service"),
+    "SystemConfig.service=rate": (lambda: SystemConfig(Constant(1.0), Constant(1.0), 0.5),
+                                  "service"),
+    "SystemConfig.rate=str": (lambda: SystemConfig("x", Exponential(1.0), 0.5),
+                              "arrival rate"),
+    "SystemConfig.rate=float": (lambda: SystemConfig(1.0, Exponential(1.0), 0.5),
+                                "arrival rate"),
+}
+
+
+@pytest.mark.parametrize("entry", list(NOT_A_LAW))
+def test_service_or_rate_that_is_not_a_law_is_a_config_error(entry):
+    call, name = NOT_A_LAW[entry]
+    with pytest.raises(ConfigError, match=f"^{name} must be a "):
+        call()

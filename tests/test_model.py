@@ -1,7 +1,10 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammainc, gammaincc
 
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
@@ -175,6 +178,68 @@ def test_uniform_lst_small_argument_stable():
     for s in (1e-12, 1e-9, 1e-6, 1e-3):
         exact = -math.expm1(-s * u.high) / (s * u.high)
         assert complex(u.lst(s)).real == pytest.approx(exact, rel=1e-10)
+
+
+def test_uniform_lst_mixes_series_and_exact_per_entry():
+    # the series is taken only at the entries with |s| w < 1e-8
+    u = Uniform(0.5, 1.5)
+    s = np.array([1e-12, 0.3, 2.0 + 3.0j, 1e-10j])
+    assert np.array_equal(u.lst(s), [complex(u.lst(v)) for v in s])
+    assert u.lst(s[1:3]).tolist() == [complex(u.lst(v)) for v in s[1:3]]
+    assert complex(u.lst(1e-12)).real == pytest.approx(1.0 - 1e-12, rel=1e-15)
+
+
+GAMMA_SHAPES_BELOW_1 = (0.3, 0.5, 1 / 1.2, 0.95)
+# geometric below 1, linear above
+GAMMA_Z = np.concatenate([np.geomspace(1e-12, 1.0, 40, endpoint=False),
+                          np.linspace(1.0, 50.0, 99)])
+
+
+@functools.cache
+def gamma_reference(k):
+    """(P(k, z), Q(k, z)) on GAMMA_Z by mpmath."""
+    mpmath.mp.dps = 30
+    return (np.array([float(mpmath.gammainc(k, 0, z, regularized=True)) for z in GAMMA_Z]),
+            np.array([float(mpmath.gammainc(k, z, mpmath.inf, regularized=True))
+                      for z in GAMMA_Z]))
+
+
+def exp_convolved_reference(k, lam):
+    """exp_convolved(lam, z) of Gamma(k, 1) on GAMMA_Z by mpmath:
+    e^{-lam z} c^{-k} P(k, c z), c = 1 - lam > 0."""
+    mpmath.mp.dps = 30
+    c = mpmath.mpf(1.0 - lam)
+    return np.array([float(mpmath.exp(-lam * z) * c ** -k
+                           * mpmath.gammainc(k, 0, c * z, regularized=True))
+                     for z in map(mpmath.mpf, GAMMA_Z)])
+
+
+@pytest.mark.parametrize("k", GAMMA_SHAPES_BELOW_1)
+def test_gamma_below_shape_1_matches_mpmath(k):
+    # shape < 1 takes P and Q from shape k + 1 near the origin
+    svc = Gamma(k, 1.0)
+    p, q = gamma_reference(k)
+    sf, cdf = svc.sf(GAMMA_Z), svc.cdf(GAMMA_Z)
+    np.testing.assert_allclose(cdf, p, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(sf, q, rtol=1e-14, atol=0.0)
+    assert np.max(np.abs(sf + cdf - 1.0)) <= 2.2e-16
+    assert svc.sf(0.0) == 1.0 and svc.cdf(0.0) == 0.0
+    for lam in (0.4, 0.8):
+        np.testing.assert_allclose(svc.exp_convolved(lam, GAMMA_Z),
+                                   exp_convolved_reference(k, lam), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("svc", [Erlang(5, 1 / 6), Gamma(1.2, 1 / 1.44)],
+                         ids=["erlang", "gamma1.2"])
+def test_gamma_from_shape_1_calls_scipy_directly(svc):
+    z = np.linspace(0.0, 20.0, 401)
+    k, sc = svc.shape, svc.scale
+    assert np.array_equal(svc.sf(z), gammaincc(k, z / sc))
+    assert np.array_equal(svc.cdf(z), gammainc(k, z / sc))
+    for lam in (0.4, 0.8):
+        c = 1.0 / sc - lam
+        want = np.exp(-lam * z) * (sc * c) ** -k * gammainc(k, c * z)
+        assert np.array_equal(svc.exp_convolved(lam, z), want)
 
 
 def test_erlang_mean():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -280,6 +281,14 @@ def test_inversion_flags_roundoff_blowup(monkeypatch):
         aoi_cdf_stationary(model, 10.0)
 
 
+def test_inversion_overflow_at_a_subnormal_abscissa_is_an_inversion_error():
+    # the contour A / (2x) itself overflows: a typed error, not a RuntimeWarning
+    model = StationaryModel(0.8, Exponential(1.2), 0.3)
+    for fn in (aoi_cdf_stationary, aoi_pdf_stationary):
+        with pytest.raises(InversionError, match="overflowed"):
+            fn(model, 1e-310)
+
+
 def test_inversion_flags_drift_between_euler_estimates():
     # 1/(s(s+1)) inverts to 1 - e^{-x}; alternating noise growing with the
     # series index leaves the last two Euler estimates far apart
@@ -559,6 +568,11 @@ def test_outer_rule_is_mirror_symmetric(svc, lam):
         assert weights.sum() == pytest.approx(x, rel=1e-14, abs=0.0)
 
 
+# every x the stationary_curve benchmark can draw: 8 positions in each
+# 0.25-wide cell around 0.25, ..., 10 (the tail points 20, ..., 100 aside)
+BENCH_XS = [c - 0.125 + 0.25 * (k + 0.5) / 8 for c in 0.25 * np.arange(1, 41) for k in range(8)]
+
+
 def outer_rule_size(model, x):
     """Node count of the outer rule as first defined: ceil(x / longest)
     equal panels, longest = 16 (E[S] + 1/lam), cut at every breakpoint b
@@ -573,13 +587,52 @@ def outer_rule_size(model, x):
 
 @pytest.mark.parametrize("svc", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())
 def test_outer_rule_size_is_unchanged_on_the_benchmark_grid(svc):
-    # every x the stationary_curve benchmark can draw: 8 positions in each
-    # 0.25-wide cell around 0.25, ..., 10, and the tail points
-    xs = [c - 0.125 + 0.25 * (k + 0.5) / 8 for c in 0.25 * np.arange(1, 41) for k in range(8)]
     for lam in (0.4, 0.8, 1.6):
         model = StationaryModel(lam, svc, 0.0)
-        for x in (*xs, 20.0, 30.0, 40.0, 60.0, 100.0):
+        for x in (*BENCH_XS, 20.0, 30.0, 40.0, 60.0, 100.0):
             assert len(stationary._outer_rule(model, x)[0]) == outer_rule_size(model, x)
+
+
+@pytest.mark.parametrize("lam", [0.4, 0.8, 1.6, 1e4])
+@pytest.mark.parametrize("svc", FIG7_SERVICES.values(), ids=FIG7_SERVICES.keys())
+def test_one_panel_rule_is_the_outer_rule(svc, lam):
+    # up to model._x1 _rule lays out the four rows itself; nodes and
+    # weights must be those of _outer_rule to the bit, with x appended
+    model = StationaryModel(lam, svc, 0.0)
+    x1 = model._x1
+    longest = 16 * (svc.mean + 1 / lam)
+    assert x1 == min(longest, 16 * svc.mean, *(b for b in model._splits if b > 0))
+    special = [x1, math.nextafter(x1, 0.0), *svc.breakpoints(), 16 * svc.mean, longest]
+    xs = [x for x in BENCH_XS if x <= x1] + special
+    assert sum(x <= x1 for x in xs) >= 2
+    for x in xs:
+        nodes, weights = stationary._outer_rule(model, x)
+        s, w = stationary._rule(model, x)
+        assert np.array_equal(s, np.append(nodes, x)) and np.array_equal(w, weights)
+    # and x1 is the largest such x: one ulp above it the layout is wrong
+    above = math.nextafter(x1, math.inf)
+    object.__setattr__(model, "_x1", above)
+    nodes, weights = stationary._outer_rule(model, above)
+    s, w = stationary._rule(model, above)
+    assert not (np.array_equal(s[:-1], nodes) and np.array_equal(w, weights))
+
+
+def test_model_constants_stay_out_of_repr_eq_and_hash():
+    model = StationaryModel(0.8, Uniform(0.0, 2 / 1.2), 0.3)
+    assert repr(model) == ("StationaryModel(lam=0.8, service=Uniform(low=0.0, "
+                           "high=1.6666666666666667), theta=0.3)")
+    twin = StationaryModel(0.8, Uniform(0.0, 2 / 1.2), 0.3)
+    assert model == twin and hash(model) == hash(twin)
+    assert {model: 1}[twin] == 1
+    faster = dataclasses.replace(model, lam=1.6)
+    want = StationaryModel(1.6, Uniform(0.0, 2 / 1.2), 0.3)
+    for name in ("_minf", "_lst_c", "_longest", "_end_cap", "_splits", "_x1"):
+        assert getattr(faster, name) == getattr(want, name)
+    assert faster._minf != model._minf and faster._longest != model._longest
+    assert m_infinity(faster) == m_infinity(want)
+    assert aoi_cdf_stationary(faster, 2.0) == aoi_cdf_stationary(want, 2.0)
+    # theta = 0 computes no LST
+    assert dataclasses.replace(model, theta=0.0)._lst_c is None
 
 
 def integrated_tail(svc, x):
