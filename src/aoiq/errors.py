@@ -13,6 +13,9 @@ object (a rate profile outside its grid, say) stay plain ValueErrors.
 import math
 import numbers
 
+# check and check_all are the package's own validator, read as aoiq.errors.check
+__all__ = ["ConfigError", "ConvergenceError", "InversionError"]
+
 
 class ConfigError(ValueError):
     """Invalid model parameters, schedules, or config files."""

@@ -6,21 +6,19 @@ threads; evaluators accept scalars or numpy arrays and are vectorized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln, hyp1f1, xlogy
 
 from .errors import ConfigError, check, check_all
 
 __all__ = [
-    "RateProfile", "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
-    "ServiceDistribution", "Exponential", "Deterministic", "Uniform",
-    "Gamma", "Erlang",
-    "SystemConfig", "GridFunction",
-    "rate_at", "is_nbu",
-    "config_from_dict",
+    "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
+    "Exponential", "Deterministic", "Uniform", "Gamma", "Erlang",
+    "SystemConfig", "GridFunction", "rate_at",
+    "rate_from_dict", "service_from_dict", "config_from_dict",
 ]
 
 
@@ -439,18 +437,28 @@ class Uniform(ServiceDistribution):
 _SHIFT_Z = 1.1
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported when a Gamma-family law is first evaluated:
+    it would double the start-up time and memory of `import aoiq`, and no
+    other law needs it."""
+    import scipy.special
+    return scipy.special
+
+
 def _regularized_gamma(k, z, upper):
     """Q(k, z) if upper else P(k, z), the regularized incomplete gamma
     functions, on an array z >= 0; shape k < 1 through shape k + 1 (see
     above), shape k >= 1 straight from scipy."""
+    sp = _special()
     if k >= 1.0:
-        return gammaincc(k, z) if upper else gammainc(k, z)
+        return sp.gammaincc(k, z) if upper else sp.gammainc(k, z)
     near = z <= _SHIFT_Z
     far = ~near
     zn = z[near]
-    p1 = gammainc(k + 1.0, zn)
-    t = np.exp(xlogy(k, zn) - zn - math.lgamma(k + 1.0))
-    q = gammaincc(k, z[far])
+    p1 = sp.gammainc(k + 1.0, zn)
+    t = np.exp(sp.xlogy(k, zn) - zn - math.lgamma(k + 1.0))
+    q = sp.gammaincc(k, z[far])
     out = np.empty_like(z)
     out[near] = (1.0 - p1) - t if upper else p1 + t
     out[far] = q if upper else 1.0 - q
@@ -487,8 +495,9 @@ class Gamma(ServiceDistribution):
         # for x >= 0, Q the regularized upper incomplete gamma function
         x = np.asarray(x, dtype=float)
         xp = np.maximum(x, 0.0)
-        out = (self.mean * gammaincc(self.shape + 1.0, xp / self.scale)
-               - xp * gammaincc(self.shape, xp / self.scale) + np.maximum(-x, 0.0))
+        sp = _special()
+        out = (self.mean * sp.gammaincc(self.shape + 1.0, xp / self.scale)
+               - xp * sp.gammaincc(self.shape, xp / self.scale) + np.maximum(-x, 0.0))
         return out if out.ndim else float(out)
 
     def lst(self, s):
@@ -507,7 +516,9 @@ class Gamma(ServiceDistribution):
             out = np.exp(-lam * s) * (self.scale * c) ** -k * p
         else:
             z = s / self.scale
-            out = np.exp(xlogy(k, z) - z - gammaln(k + 1.0)) * hyp1f1(1.0, k + 1.0, c * s)
+            sp = _special()
+            out = (np.exp(sp.xlogy(k, z) - z - sp.gammaln(k + 1.0))
+                   * sp.hyp1f1(1.0, k + 1.0, c * s))
         return out if out.ndim else float(out)
 
     def sample(self, rng, size=None):
@@ -516,15 +527,17 @@ class Gamma(ServiceDistribution):
 
 class Erlang(Gamma):
     """Gamma with integer shape n >= 1 (an integral float such as 5.0 is
-    stored as the int 5)."""
+    stored as the int 5). The parameter is named `shape`, after the field,
+    so that dataclasses.replace and eval(repr(...)) work; config files call
+    it `n`."""
 
     kind = "erlang"
 
-    def __init__(self, n, scale):
-        check(n, "erlang shape n", 1)
-        if int(n) != n:
-            raise ConfigError(f"erlang shape n must be an integer, got {n!r}")
-        super().__init__(shape=int(n), scale=check(scale, "erlang scale", 0, above=True))
+    def __init__(self, shape, scale):
+        check(shape, "erlang shape n", 1)
+        if int(shape) != shape:
+            raise ConfigError(f"erlang shape n must be an integer, got {shape!r}")
+        super().__init__(shape=int(shape), scale=check(scale, "erlang scale", 0, above=True))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +594,7 @@ class GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# Checked evaluation and predicates
+# Checked evaluation
 # ---------------------------------------------------------------------------
 
 def rate_at(profile, t):
@@ -590,22 +603,6 @@ def rate_at(profile, t):
     if np.any(np.asarray(v) < 0):
         raise ConfigError(f"profile produced a negative rate at t={t}")
     return v
-
-
-_NBU_POINTS = 100
-_NBU_TOL = 1e-9
-
-
-def is_nbu(dist):
-    """New-Better-than-Used check: Fbar(z+tau) <= Fbar(z)*Fbar(tau) + _NBU_TOL
-    on a _NBU_POINTS x _NBU_POINTS grid over [0, 5*mean]^2. Note the
-    optimizer's preemption policy table is intentionally separate from this
-    predicate."""
-    span = 5.0 * dist.mean
-    g = np.linspace(0.0, span, _NBU_POINTS)
-    sf = np.asarray(dist.sf(g))
-    sum_sf = np.asarray(dist.sf(g[:, None] + g[None, :]))
-    return bool(np.all(sum_sf <= sf[:, None] * sf[None, :] + _NBU_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +621,7 @@ _SERVICE_KINDS = {
     "deterministic": (Deterministic, ("d",)),
     "uniform": (Uniform, ("low", "high")),
     "gamma": (Gamma, ("shape", "scale")),
-    "erlang": (Erlang, ("n", "scale")),
+    "erlang": (lambda n, scale: Erlang(n, scale), ("n", "scale")),
 }
 
 

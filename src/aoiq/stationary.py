@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import gauss_rule, graded_rule
-from .errors import ConfigError, InversionError, check, check_all
+from .errors import ConfigError, InversionError, check
 from .model import ServiceDistribution
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "m_infinity", "m_x_stationary", "aoi_lst",
     "aoi_cdf_stationary", "aoi_pdf_stationary",
     "closed_form_mm11", "closed_form_md11", "closed_form_mm11_preemptive",
-    "check_dominance",
 ]
 
 # Euler-summation inversion constants (Abate-Whitt 1995): the Bromwich
@@ -454,13 +453,3 @@ def closed_form_mm11_preemptive(lam, mu, x):
         return 1.0 - (1.0 + mx) * math.exp(-mx)
     return 1.0 - lam / (lam - mu) * math.exp(-mu * x) \
         + mu / (lam - mu) * math.exp(-lam * x)
-
-
-def check_dominance(lam, mu, xs):
-    """Dominance check: the full-preemption CDF dominates the
-    non-preemptive one at every point of xs (vacuously true when empty)."""
-    lam, mu, _ = _closed_form_args(lam, mu, 0.0)
-    for x in check_all(xs if np.ndim(xs) else [xs], "xs"):
-        if closed_form_mm11_preemptive(lam, mu, x) < closed_form_mm11(lam, mu, x) - 1e-12:
-            return False
-    return True

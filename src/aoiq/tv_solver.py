@@ -5,11 +5,11 @@ equally spaced grids, h <= 0.01 for every service law, each sampled by
 `_grid`: lambda and Lambda at the nodes, and weights integrated exactly
 from the service CDF (`_kernels.moments`):
 
-* the idle-probability curve M(t, inf) on [0, T],
-* the completion-flux kernel G_z(t, y, 0) and the joint block M(t, x),
-  explicit sums along the diagonal r = (t - x) + tau, and
-* the fixed-u equation for Phi-hat(u, x) (u = t - x held fixed), returning
-  the terminal node.
+* the idle-probability curve M(t, inf) on [0, T], and
+* the fixed-u equation for Phi-hat(u, x) (u = t - x held fixed) on the
+  diagonal r = u + tau, tau in [0, x], returning the terminal node; its
+  known term, the joint block M(r, x), is two explicit sums along the
+  diagonal (the completion flux G_z, then M).
 
 Plus the negligible-processing closed forms where service time is ~0.
 
@@ -38,9 +38,8 @@ from .errors import ConfigError, ConvergenceError, check
 from .model import GridFunction, rate_at
 
 __all__ = [
-    "SolverSettings", "IdleProbabilityCurve",
-    "solve_idle_prob", "kernel_gz", "m_tx", "aoi_cdf_tv",
-    "aoi_cdf_negligible", "mean_aoi_negligible",
+    "SolverSettings", "IdleProbabilityCurve", "solve_idle_prob",
+    "aoi_cdf_tv", "aoi_cdf_negligible", "mean_aoi_negligible",
 ]
 
 
@@ -102,12 +101,6 @@ def _grid(config, start, length, n):
     return h, nodes, lam, Lam, _kernels.moments(config.service, h, n)
 
 
-def _require_cover(idle, t):
-    if idle.horizon < t - 1e-9 * max(1.0, t):
-        raise ConfigError(
-            f"idle curve horizon {idle.horizon} does not cover t={t}")
-
-
 def _certify(residual, label):
     if not residual <= SolverSettings.etol:
         raise ConvergenceError(
@@ -145,61 +138,6 @@ def solve_idle_prob(config, settings):
 
 
 # ---------------------------------------------------------------------------
-# kernel G_z and the joint block M(t, x)
-# ---------------------------------------------------------------------------
-
-def _diagonal_arrays(config, idle, u, x):
-    """`_grid` on the diagonal slice r = u + tau, tau in [0, x], on the
-    fewest steps no longer than the idle curve's, and the arrival weight
-    c = lambda (theta + (1 - theta) M(r, inf)) at its nodes:
-    (h, lam, Lam, c, moments)."""
-    h, r, lam, Lam, mom = _grid(config, u, x, max(2, math.ceil(x / idle.grid.h - 1e-12)))
-    c = lam * (config.theta + (1.0 - config.theta) * np.asarray(idle(r), dtype=float))
-    return h, lam, Lam, c, mom
-
-
-def kernel_gz(config, idle, t, y):
-    """G_z(t, y, 0): completion flux of informative packets with age <= y.
-
-    Product-integration evaluation of int_{z in (0, y]} lambda(t-z)
-    (theta + (1-theta) M(t-z, inf)) exp(-theta int_{t-z}^t lambda) dF(z).
-    Raises ConfigError when the idle curve does not cover t.
-    """
-    y = check(y, "y", 0)
-    t = check(t, "t", y)
-    _require_cover(idle, t)
-    if y == 0:
-        return 0.0
-    _, _, Lam, c, mom = _diagonal_arrays(config, idle, t - y, y)
-    gz = _kernels.history(c, mom["dF"], Lam, config.theta)
-    return max(float(gz[-1]), 0.0)
-
-
-def _joint_block(config, Lam, c, mom):
-    """G_z and M(., x) at the diagonal nodes."""
-    gz = _kernels.history(c, mom["dF"], Lam, config.theta)
-    return _kernels.history(gz, mom["1"], Lam, 1.0)
-
-
-def m_tx(config, idle, t, x):
-    """M(t, x): probability the system is idle at t with AoI <= x.
-
-    Piecewise: equals the idle value for 0 <= t < x, else the trapezoid
-    evaluation of int_{t-x}^{t} G_z(r, x-t+r, 0) exp(-int_r^t lambda) dr.
-    Raises ConfigError when the idle curve does not cover t.
-    """
-    t, x = check(t, "t", 0), check(x, "x", 0)
-    _require_cover(idle, t)
-    if t < x:
-        return float(idle(t))
-    if x == 0:
-        return 0.0
-    _, _, Lam, c, mom = _diagonal_arrays(config, idle, t - x, x)
-    mx = _joint_block(config, Lam, c, mom)
-    return float(min(max(mx[-1], 0.0), 1.0))
-
-
-# ---------------------------------------------------------------------------
 # The AoI distribution Phi(t, x)
 # ---------------------------------------------------------------------------
 
@@ -230,12 +168,16 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
             f"settings.horizon {settings.horizon} is below the evaluation time {t}")
     if idle is None:
         idle = solve_idle_prob(config, replace(settings, horizon=settings.horizon or t))
-    else:
-        _require_cover(idle, t)
+    elif idle.horizon < t - 1e-9 * max(1.0, t):
+        raise ConfigError(f"idle curve horizon {idle.horizon} does not cover t={t}")
 
+    # the diagonal r = u + tau, tau in [0, x], on the fewest steps no longer
+    # than the idle curve's, and the arrival weight
+    # c = lambda (theta + (1 - theta) M(r, inf)) at its nodes
     u = t - x
     theta = config.theta
-    h, lam, Lam, c, mom = _diagonal_arrays(config, idle, u, x)
+    h, r, lam, Lam, mom = _grid(config, u, x, max(2, math.ceil(x / idle.grid.h - 1e-12)))
+    c = lam * (theta + (1.0 - theta) * np.asarray(idle(r), dtype=float))
 
     # the march divides by 1 - omega_0 lambda_i theta with omega_0 <= h/2;
     # keeping that above 1/2 bounds the error amplification of each step by 2
@@ -247,8 +189,10 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
             f"step, which needs h < {h_max:.4g}; use grid_n >= "
             f"{math.floor(idle.horizon / h_max) + 1} on horizon {idle.horizon:g}")
 
+    # the joint block M(r, x) from G_z, then
     # Phi-hat_i = M_i + S_i[lam (1 - F) (theta Phi-hat + (1 - theta) M)]
-    mx = _joint_block(config, Lam, c, mom)
+    gz = _kernels.history(c, mom["dF"], Lam, theta)
+    mx = _kernels.history(gz, mom["1"], Lam, 1.0)
     w, resid = _kernels.march(mx, lam, mom["1-F"], Lam, theta,
                               alpha=theta, beta=(1.0 - theta) * mx)
     _certify(resid, f"Phi(t={t}, x={x})")

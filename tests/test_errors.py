@@ -7,12 +7,12 @@ from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
                   SystemConfig, GridFunction, config_from_dict,
                   StationaryModel, aoi_cdf_stationary, aoi_pdf_stationary,
-                  m_x_stationary, SolverSettings, solve_idle_prob, kernel_gz,
-                  m_tx, aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
+                  m_x_stationary, SolverSettings, solve_idle_prob,
+                  aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
                   SimRequest, empirical_cdf, ConstraintSchedule, PiecewiseRatePlan,
                   OptimizerSettings, optimize_rates, benchmark_constant_rate,
                   stationary_rate_search, closed_form_mm11, closed_form_md11,
-                  closed_form_mm11_preemptive, check_dominance, ConfigError)
+                  closed_form_mm11_preemptive, ConfigError)
 from aoiq.errors import check, check_all
 
 CFG = SystemConfig(Constant(1.0), Exponential(1.2), 0.5)
@@ -95,10 +95,6 @@ ENTRY_POINTS = {
         StationaryModel(1.0, Exponential(1.0), 0.5), v), 1.0),
     "SolverSettings.horizon": (lambda v: SolverSettings(horizon=v), 1.0),
     "SolverSettings.grid_n": (lambda v: SolverSettings(grid_n=v), 20),
-    "kernel_gz.t": (lambda v: kernel_gz(CFG, IDLE, v, 0.5), 1.0),
-    "kernel_gz.y": (lambda v: kernel_gz(CFG, IDLE, 1.0, v), 0.5),
-    "m_tx.t": (lambda v: m_tx(CFG, IDLE, v, 0.5), 1.0),
-    "m_tx.x": (lambda v: m_tx(CFG, IDLE, 1.0, v), 0.5),
     "aoi_cdf_tv.t": (lambda v: aoi_cdf_tv(CFG, v, 0.5, idle=IDLE), 1.0),
     "aoi_cdf_tv.x": (lambda v: aoi_cdf_tv(CFG, 1.0, v, idle=IDLE), 0.5),
     "aoi_cdf_negligible.t": (lambda v: aoi_cdf_negligible(Constant(1.0), v, 0.5), 1.0),
@@ -137,11 +133,6 @@ for _form in (closed_form_mm11, closed_form_md11, closed_form_mm11_preemptive):
         f"{_form.__name__}.mu": (lambda v, f=_form: f(0.8, v, 1.0), 1.2),
         f"{_form.__name__}.x": (lambda v, f=_form: f(0.8, 1.2, v), 1.0),
     }
-ENTRY_POINTS |= {
-    "check_dominance.lam": (lambda v: check_dominance(v, 2.0, [1.0]), 1.0),
-    "check_dominance.mu": (lambda v: check_dominance(1.0, v, []), 2.0),
-    "check_dominance.xs": (lambda v: check_dominance(1.0, 2.0, [0.5, v]), 1.0),
-}
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True],
@@ -188,10 +179,7 @@ def test_search_thresholds_and_probabilities_are_in_range():
 def test_abscissa_lists_are_checked_and_a_scalar_is_one_point():
     with pytest.raises(ConfigError, match="^xs must be a real number"):
         empirical_cdf(SimRequest(CFG, 1.0, 10, 0), [True])
-    with pytest.raises(ConfigError, match="^xs must be finite"):
-        check_dominance(1.0, 2.0, math.nan)
     assert empirical_cdf(SimRequest(CFG, 1.0, 10, 0), 2.0).tolist() == [1.0]
-    assert check_dominance(1.0, 2.0, 1.0)
 
 
 # a service or rate that is not a law fails at construction, naming the

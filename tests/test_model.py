@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -8,7 +9,7 @@ from scipy.special import gammainc, gammaincc
 
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
-                  SystemConfig, GridFunction, rate_at, is_nbu,
+                  SystemConfig, GridFunction, rate_at,
                   rate_from_dict, service_from_dict, config_from_dict,
                   ConfigError)
 
@@ -246,6 +247,18 @@ def test_erlang_mean():
     assert Erlang(5, 1 / 6).mean == pytest.approx(5 / 6)
 
 
+def test_erlang_replace_and_repr_round_trip():
+    # the parameter is named after the field, as dataclasses.replace and
+    # the generated repr expect; the shape stays an integer
+    e = Erlang(5, 0.2)
+    assert dataclasses.replace(e, scale=0.3) == Erlang(5, 0.3)
+    assert type(dataclasses.replace(e, scale=0.3)) is Erlang
+    assert repr(e) == "Erlang(shape=5, scale=0.2)"
+    assert eval(repr(e)) == e
+    with pytest.raises(ConfigError, match="^erlang shape n must be an integer"):
+        dataclasses.replace(e, shape=2.5)
+
+
 def test_sampling_deterministic():
     rng = np.random.default_rng(0)
     assert Deterministic(0.7).sample(rng) == 0.7
@@ -267,14 +280,6 @@ def test_sampling_matches_cdf(svc):
     emp = np.searchsorted(draws, z, side="right") / draws.size
     F = np.asarray(svc.cdf(z))
     assert np.max(np.abs(emp - F)) < 0.01
-
-
-def test_is_nbu_table():
-    assert is_nbu(Exponential(1.0))
-    assert is_nbu(Erlang(5, 1 / 6))
-    assert is_nbu(Deterministic(1.0))
-    assert is_nbu(Uniform(0.0, 2.0))
-    assert not is_nbu(Gamma(0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------

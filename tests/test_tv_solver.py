@@ -6,9 +6,9 @@ import pytest
 from aoiq import _kernels, tv_solver
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Exponential,
                   Deterministic, Uniform, Gamma, Erlang, SystemConfig,
-                  SolverSettings, solve_idle_prob, kernel_gz, m_tx,
-                  aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
-                  StationaryModel, m_infinity, m_x_stationary, closed_form_mm11,
+                  SolverSettings, solve_idle_prob, aoi_cdf_tv,
+                  aoi_cdf_negligible, mean_aoi_negligible,
+                  StationaryModel, m_infinity, closed_form_mm11,
                   closed_form_md11, closed_form_mm11_preemptive,
                   aoi_cdf_stationary, ConfigError, ConvergenceError,
                   ConstraintSchedule, OptimizerSettings, PiecewiseRatePlan,
@@ -69,11 +69,13 @@ def test_cdf_accepts_service_without_bounded_density(theta):
     assert _steady_error(gam, theta, _stationary(gam, theta)) <= 5e-5
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.6])
-def test_cdf_uniform_service_second_order_at_default_step(theta):
-    # the density jump at 4/3 falls inside a cell, where a kernel sampled
-    # at the nodes is only first order
-    svc = Uniform(0.0, 4 / 3)
+@pytest.mark.parametrize("svc, theta", [(Uniform(0.0, 4 / 3), 0.0),
+                                        (Uniform(0.0, 4 / 3), 0.6),
+                                        (Exponential(1.2), 0.3)],
+                         ids=["uni-0.0", "uni-0.6", "exp-0.3"])
+def test_cdf_second_order_at_default_step(svc, theta):
+    # the uniform density jump at 4/3 falls inside a cell, where a kernel
+    # sampled at the nodes is only first order
     assert _steady_error(svc, theta, _stationary(svc, theta)) <= 5e-5
 
 
@@ -128,37 +130,6 @@ def test_idle_iteration_budget_enforced(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# kernel and joint block
-# ---------------------------------------------------------------------------
-
-def test_kernel_flux_reaches_stationary_form():
-    # constant-rate exponential service: after burn-in the flux equals
-    # lam*(theta+(1-theta)*Minf) * mu * (1 - exp(-(mu+lam*theta) y)) / (mu+lam*theta)
-    lam, mu, theta = 0.8, 1.2, 0.3
-    cfg = SystemConfig(Constant(lam), Exponential(mu), theta)
-    idle = idle_for(cfg, 40.0)
-    minf = m_infinity(StationaryModel(lam, Exponential(mu), theta))
-    c = lam * (theta + (1.0 - theta) * minf)
-    for y in (0.5, 1.0, 2.0, 4.0):
-        want = c * mu * -math.expm1(-(mu + lam * theta) * y) / (mu + lam * theta)
-        assert kernel_gz(cfg, idle, 40.0, y) == pytest.approx(want, abs=1e-4)
-    assert kernel_gz(cfg, idle, 40.0, 0.0) == 0.0
-
-
-def test_m_tx_before_age_x_is_the_idle_probability():
-    idle = idle_for(MM_CFG, 10.0)
-    assert m_tx(MM_CFG, idle, 2.0, 5.0) == float(idle(2.0))
-    assert m_tx(MM_CFG, idle, 2.0, 2.5) == float(idle(2.0))
-
-
-def test_m_tx_reaches_stationary_curve():
-    idle = idle_for(MM_CFG, 40.0)
-    for x in (0.5, 1.0, 2.0, 4.0):
-        want = m_x_stationary(StationaryModel(0.8, Exponential(1.2), 0.0), x)
-        assert m_tx(MM_CFG, idle, 40.0, x) == pytest.approx(want, abs=1e-4)
-
-
-# ---------------------------------------------------------------------------
 # the AoI distribution itself
 # ---------------------------------------------------------------------------
 
@@ -183,12 +154,8 @@ def test_cdf_rejects_short_idle_curve():
 
 def test_idle_curve_must_cover_t_in_every_entry_point():
     idle = idle_for(MM_CFG, 5.0)
-    for call in (lambda: kernel_gz(MM_CFG, idle, 8.0, 2.0),
-                 lambda: m_tx(MM_CFG, idle, 8.0, 2.0),
-                 lambda: m_tx(MM_CFG, idle, 8.0, 9.0),
-                 lambda: aoi_cdf_tv(MM_CFG, 8.0, 2.0, idle=idle)):
-        with pytest.raises(ConfigError, match="does not cover t=8.0"):
-            call()
+    with pytest.raises(ConfigError, match="does not cover t=8.0"):
+        aoi_cdf_tv(MM_CFG, 8.0, 2.0, idle=idle)
 
 
 def test_cdf_converges_to_stationary_no_preemption():
@@ -299,9 +266,12 @@ def test_weight_factors_stay_finite_past_the_exp_range():
     p0 = mu / (lam + mu) + lam / (lam + mu) * np.exp(-(lam + mu) * idle.grid.ts)
     assert np.max(np.abs(idle.grid.values - p0)) <= 1e-5
     for y in (0.5, 1.0):
+        # the completion flux G_z(1, y, 0) on the diagonal ending at t = 1;
         # (h lam)^2 / 12 interpolation error of the exponential, about 8e-4
+        _, Lam, c, mom = _diagonal(cfg, idle, 1.0, y)
+        gz = _kernels.history(c, mom["dF"], Lam, cfg.theta)[-1]
         want = lam * mu / (lam + mu) * -math.expm1(-(lam + mu) * y)
-        assert kernel_gz(cfg, idle, 1.0, y) == pytest.approx(want, abs=2e-3)
+        assert gz == pytest.approx(want, abs=2e-3)
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.0])
@@ -322,16 +292,18 @@ def test_explicit_march_flags_a_non_finite_value(monkeypatch):
         _, resid = _kernels.march(base, c, weights, Lam, 0.6, 0.0, beta)
     assert not math.isfinite(resid)
 
-    # a blown-up joint block reaches the explicit theta = 0 Phi-hat march,
-    # whose residual then refuses the value
-    joint = tv_solver._joint_block
+    # a blown-up joint block M(., x), the only history sum of weight 1 at
+    # theta = 0, reaches the explicit Phi-hat march, whose residual then
+    # refuses the value
+    history = _kernels.history
 
-    def blown(*args):
-        mx = joint(*args)
-        mx[mx.size // 2] = np.inf
-        return mx
+    def blown(c, weights, Lam, weight):
+        out = history(c, weights, Lam, weight)
+        if weight == 1.0:
+            out[out.size // 2] = np.inf
+        return out
 
-    monkeypatch.setattr(tv_solver, "_joint_block", blown)
+    monkeypatch.setattr(_kernels, "history", blown)
     with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError):
         aoi_cdf_tv(MM_CFG, 5.0, 2.0)
 
@@ -351,10 +323,20 @@ def test_full_preemption_idle_curve_matches_per_node_march():
     assert np.max(np.abs(idle.grid.values - want)) <= 1e-14
 
 
+def _diagonal(config, idle, t, x):
+    """aoi_cdf_tv's diagonal r = t - x + tau, tau in [0, x], on the fewest
+    steps no longer than the idle curve's: (lambda, Lambda, c, moments),
+    c = lambda (theta + (1 - theta) M(r, inf))."""
+    n = max(2, math.ceil(x / idle.grid.h - 1e-12))
+    _, r, lam, Lam, mom = tv_solver._grid(config, t - x, x, n)
+    c = lam * (config.theta + (1.0 - config.theta) * idle(r))
+    return lam, Lam, c, mom
+
+
 def _dense_phi(config, idle, t, x):
     """Phi(t, x) with every history sum on dense weights and the Phi-hat
     equation marched one node at a time."""
-    _, lam, Lam, c, mom = tv_solver._diagonal_arrays(config, idle, t - x, x)
+    lam, Lam, c, mom = _diagonal(config, idle, t, x)
     gz = _dense_weights(c, Lam, mom["dF"], config.theta).sum(axis=1)
     mx = _dense_weights(gz, Lam, mom["1"], 1.0).sum(axis=1)
     theta = config.theta
