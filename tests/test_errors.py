@@ -6,12 +6,13 @@ import pytest
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
                   SystemConfig, GridFunction, config_from_dict,
+                  rate_from_dict, service_from_dict,
                   StationaryModel, aoi_cdf_stationary, aoi_pdf_stationary,
                   m_x_stationary, SolverSettings, solve_idle_prob,
                   aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
                   SimRequest, empirical_cdf, ConstraintSchedule, PiecewiseRatePlan,
                   OptimizerSettings, optimize_rates, benchmark_constant_rate,
-                  stationary_rate_search, closed_form_mm11, closed_form_md11,
+                  evaluate_plan, stationary_rate_search, closed_form_mm11, closed_form_md11,
                   closed_form_mm11_preemptive, ConfigError)
 from aoiq.errors import check, check_all
 
@@ -85,6 +86,12 @@ ENTRY_POINTS = {
     "config_from_dict.theta": (lambda v: config_from_dict(
         {"rate": {"kind": "constant", "a": 1.0},
          "service": {"kind": "exponential", "mu": 1.0}, "theta": v}), 0.5),
+    "rate_from_dict.a": (lambda v: rate_from_dict({"kind": "constant", "a": v}), 1.0),
+    "rate_from_dict.omega": (lambda v: rate_from_dict(
+        {"kind": "sinusoid", "params": {"a": 1.0, "b": 0.5, "omega": v}}), 1.0),
+    "service_from_dict.mu": (lambda v: service_from_dict({"kind": "exponential", "mu": v}), 1.0),
+    "service_from_dict.n": (lambda v: service_from_dict(
+        {"kind": "erlang", "n": v, "scale": 1.0}), 2),
     "StationaryModel.lam": (lambda v: StationaryModel(v, Exponential(1.0), 0.5), 1.0),
     "StationaryModel.theta": (lambda v: StationaryModel(1.0, Exponential(1.0), v), 0.5),
     "aoi_cdf_stationary.x": (lambda v: aoi_cdf_stationary(
@@ -117,6 +124,9 @@ ENTRY_POINTS = {
     "OptimizerSettings.eps": (lambda v: OptimizerSettings(eps=v), 0.01),
     "OptimizerSettings.ite_max": (lambda v: OptimizerSettings(ite_max=v), 3),
     "OptimizerSettings.eta_spacing": (lambda v: OptimizerSettings(eta_spacing=v), 0.5),
+    "OptimizerSettings.grid_n": (lambda v: OptimizerSettings(grid_n=v), 20),
+    "stationary_rate_search.theta": (lambda v: stationary_rate_search(
+        Exponential(1.2), v, [(1.0, 0.5)], SEARCH), 0.0),
     "stationary_rate_search.x": (lambda v: stationary_rate_search(
         Exponential(1.2), 0.0, [(v, 0.5)], SEARCH), 1.0),
     "stationary_rate_search.p": (lambda v: stationary_rate_search(
@@ -125,8 +135,10 @@ ENTRY_POINTS = {
         lambda v: optimize_rates(Exponential(1.0), SCHED, theta=v), 1.0),
     "benchmark_constant_rate.theta": (
         lambda v: benchmark_constant_rate(Exponential(1.0), SCHED, theta=v), 1.0),
+    "evaluate_plan.theta": (lambda v: evaluate_plan(
+        PiecewiseRatePlan((0.0, 5.0), (1.0,)), SCHED, Exponential(1.0), v, SEARCH), 1.0),
 }
-# the closed-form oracles, each in lam, mu and x, and their dominance check
+# the closed-form oracles, each in lam, mu and x
 for _form in (closed_form_mm11, closed_form_md11, closed_form_mm11_preemptive):
     ENTRY_POINTS |= {
         f"{_form.__name__}.lam": (lambda v, f=_form: f(v, 1.2, 1.0), 0.8),
