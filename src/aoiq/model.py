@@ -17,7 +17,7 @@ from .errors import ConfigError, check, check_all
 __all__ = [
     "Constant", "Sinusoid", "PiecewiseConstant", "Tabulated",
     "Exponential", "Deterministic", "Uniform", "Gamma", "Erlang",
-    "SystemConfig", "GridFunction", "rate_at",
+    "SystemConfig", "GridFunction",
     "rate_from_dict", "service_from_dict", "config_from_dict",
 ]
 
@@ -33,6 +33,8 @@ class RateProfile:
     kind = "abstract"
 
     def rate(self, t):
+        """lambda(t) >= 0; each profile's constructor rules out a negative
+        rate and an unbounded max_rate, so no caller checks either."""
         raise NotImplementedError
 
     def integral(self, t0, t1):
@@ -42,7 +44,8 @@ class RateProfile:
 
     def max_rate(self, t0, t1):
         """A finite upper bound for lambda on [t0, t1] (used by thinning
-        and by the solver's step guard)."""
+        and by the solver's step guard); a step profile bounds [t0, t1),
+        leaving out the piece that starts at t1."""
         raise NotImplementedError
 
     def breakpoints_in(self, t0, t1):
@@ -108,32 +111,29 @@ class Sinusoid(RateProfile):
 
 @dataclass(frozen=True)
 class PiecewiseConstant(RateProfile):
-    """rates[i] on [breakpoints[i], breakpoints[i+1]); the last rate extends
-    beyond the final breakpoint so closed horizons can be evaluated at their
-    right endpoint."""
+    """rates[i] on [breakpoints[i], breakpoints[i+1]); the rate is 0 before
+    the first breakpoint, and the last rate extends beyond the final
+    breakpoint so closed horizons can be evaluated at their right endpoint."""
 
     breakpoints: tuple
     rates: tuple
     kind = "piecewise_constant"
+    # 0, the rates, and the last rate again: indexed by the count of breakpoints <= t
+    _levels: np.ndarray = field(default=None, compare=False, repr=False, init=False)
 
     def __post_init__(self):
         bp = check_all(self.breakpoints, "breakpoints", increasing=True)
         rt = check_all(self.rates, "rates", 0)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "rates", rt)
-        if len(bp) != len(rt) + 1:
+        if not rt or len(bp) != len(rt) + 1:
             raise ConfigError(
-                f"piecewise profile needs len(breakpoints) == len(rates)+1, "
+                f"piecewise profile needs len(breakpoints) == len(rates)+1 >= 2, "
                 f"got {len(bp)} and {len(rt)}")
+        object.__setattr__(self, "_levels", np.array((0.0,) + rt + (rt[-1],)))
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < self.breakpoints[0]):
-            raise ValueError(
-                f"time before profile start {self.breakpoints[0]}")
-        idx = np.clip(np.searchsorted(self.breakpoints, t, side="right") - 1,
-                      0, len(self.rates) - 1)
-        out = np.asarray(self.rates)[idx]
+        out = self._levels[np.searchsorted(self.breakpoints, t, side="right")]
         return out if out.ndim else float(out)
 
     def integral(self, t0, t1):
@@ -591,18 +591,6 @@ class GridFunction:
 
     def __len__(self):
         return self.values.size
-
-
-# ---------------------------------------------------------------------------
-# Checked evaluation
-# ---------------------------------------------------------------------------
-
-def rate_at(profile, t):
-    """lambda(t); raises ConfigError if the profile evaluates negative."""
-    v = profile.rate(t)
-    if np.any(np.asarray(v) < 0):
-        raise ConfigError(f"profile produced a negative rate at t={t}")
-    return v
 
 
 # ---------------------------------------------------------------------------

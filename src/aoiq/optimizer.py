@@ -71,37 +71,15 @@ class ConstraintSchedule:
         return min(max(i, 0), self.n - 1)
 
 
-@dataclass(frozen=True)
-class PiecewiseRatePlan:
-    """A piecewise-constant rate answer: rates[k] on [breakpoints[k],
-    breakpoints[k+1]); cost is the exact objective integral."""
-
-    breakpoints: tuple
-    rates: tuple
-
-    def __post_init__(self):
-        bps = check_all(self.breakpoints, "plan breakpoints", increasing=True)
-        rates = check_all(self.rates, "plan rates", 0)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "rates", rates)
-        if len(bps) != len(rates) + 1:
-            raise ConfigError(
-                f"plan needs len(breakpoints) == len(rates)+1, got "
-                f"{len(bps)} and {len(rates)}")
+class PiecewiseRatePlan(PiecewiseConstant):
+    """A step-rate answer: a PiecewiseConstant profile (rate 0 before its
+    first breakpoint) whose cost is the exact objective integral over
+    [breakpoints[0], breakpoints[-1]]."""
 
     @property
     def cost(self):
         return float(sum(r * (b - a) for r, a, b in
                          zip(self.rates, self.breakpoints[:-1], self.breakpoints[1:])))
-
-    def profile(self):
-        """The plan as a RateProfile (rate 0 before the first breakpoint;
-        the last rate extends past the final breakpoint, but the cost and
-        audit only ever look inside [t_0, t_n])."""
-        if self.breakpoints[0] > 0.0:
-            return PiecewiseConstant((0.0,) + self.breakpoints,
-                                     (0.0,) + self.rates)
-        return PiecewiseConstant(self.breakpoints, self.rates)
 
 
 def _default_rate_grid():
@@ -235,7 +213,7 @@ def evaluate_plan(plan, schedule, service, theta, settings):
     """Post-hoc audit with the finite-time solver: returns
     [(eta, k, achieved, required, ok)] for every audit node. Independent of
     the search loop, so a feasibility claim can be re-checked from scratch."""
-    config = SystemConfig(plan.profile(), service, theta)
+    config = SystemConfig(plan, service, theta)
     idle = solve_idle_prob(config, SolverSettings(horizon=schedule.times[-1],
                                                   grid_n=settings.grid_n))
     rows = []

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, check, check_all
-from .model import SystemConfig, rate_at
+from .errors import check, check_all
+from .model import SystemConfig
 
 __all__ = ["SimRequest", "simulate_aoi_at", "empirical_cdf"]
 
@@ -51,11 +51,7 @@ def _envelope(profile, t):
     """(a, b, lambda_max) per thinning segment of [0, t], split at the
     profile's breakpoints so each local bound is tight."""
     edges = sorted({0.0, t} | set(profile.breakpoints_in(0.0, t)))
-    segments = [(a, b, profile.max_rate(a, b)) for a, b in zip(edges[:-1], edges[1:])]
-    for a, b, lmax in segments:
-        if not math.isfinite(lmax) or lmax < 0:
-            raise ConfigError(f"rate profile is unbounded or negative on [{a}, {b}]")
-    return segments
+    return [(a, b, profile.max_rate(a, b)) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _arrivals(profile, t, rng, reps):
@@ -73,7 +69,7 @@ def _arrivals(profile, t, rng, reps):
     for s, (a, b, lmax) in enumerate(segments):
         k = n[:, s]
         times = a + (b - a) * rng.random(k.sum())
-        times[rng.random(times.size) * lmax >= rate_at(profile, times)] = np.inf
+        times[rng.random(times.size) * lmax >= profile.rate(times)] = np.inf
         pos = np.repeat(np.arange(reps) * width + first[:, s] - (np.cumsum(k) - k), k)
         pos += np.arange(pos.size)
         np.put(out, pos, times)
@@ -89,6 +85,8 @@ def simulate_aoi_at(config, t, rng, reps):
     """`reps` replications advanced together: the AoI samples Delta(t), and
     the counts of busy_arrivals, preemptions, discards and completions
     summed over the replications."""
+    t = check(t, "evaluation time t", 0)
+    reps = check(reps, "reps", 1, integer=True)
     a, order, k = _arrivals(config.rate, t, rng, reps)
     # every random number of the block is drawn before the march; the coins
     # come first and one per cell, so the stream is the same for every theta

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._quad import gauss_rule, graded_rule
-from .errors import ConfigError, InversionError, check
+from .errors import ConfigError, InversionError, check, check_all
 from .model import ServiceDistribution
 
 __all__ = [
@@ -290,13 +290,15 @@ def aoi_lst(model, s):
                   ((lam + s) (s + theta lam F~)),  F~ = F~(lam*theta+s),
 
     with the constant c = lam theta / (1 - (1-theta) F~(lam*theta)).
+    s is a finite real, or a 1-d sequence of them (an array out).
     """
     if model.theta == 0.0:
         raise ConfigError(
             "theta = 0 has no LST route here; aoi_cdf_stationary uses the "
             "convolution path instead")
-    out = _lst(np.asarray(s), model)
-    return out if out.ndim else complex(out)
+    if np.ndim(s):
+        return _lst(np.array(check_all(s, "LST argument s")), model)
+    return complex(_lst(np.asarray(check(s, "LST argument s")), model))
 
 
 def _lst(s, model):

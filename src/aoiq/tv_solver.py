@@ -35,7 +35,7 @@ import numpy as np
 from . import _kernels
 from ._quad import gauss_panels
 from .errors import ConfigError, ConvergenceError, check
-from .model import GridFunction, rate_at
+from .model import GridFunction
 
 __all__ = [
     "SolverSettings", "IdleProbabilityCurve", "solve_idle_prob",
@@ -96,7 +96,7 @@ def _grid(config, start, length, n):
     product-integration weights of the service law on n steps of h."""
     h = length / n
     nodes = start + np.linspace(0.0, length, n + 1)
-    lam = np.asarray(rate_at(config.rate, nodes), dtype=float)
+    lam = config.rate.rate(nodes)
     Lam = np.asarray(config.rate.integral(start, nodes), dtype=float)
     return h, nodes, lam, Lam, _kernels.moments(config.service, h, n)
 

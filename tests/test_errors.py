@@ -8,9 +8,10 @@ from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   SystemConfig, GridFunction, config_from_dict,
                   rate_from_dict, service_from_dict,
                   StationaryModel, aoi_cdf_stationary, aoi_pdf_stationary,
-                  m_x_stationary, SolverSettings, solve_idle_prob,
+                  m_x_stationary, aoi_lst, SolverSettings, solve_idle_prob,
                   aoi_cdf_tv, aoi_cdf_negligible, mean_aoi_negligible,
-                  SimRequest, empirical_cdf, ConstraintSchedule, PiecewiseRatePlan,
+                  SimRequest, simulate_aoi_at, empirical_cdf,
+                  ConstraintSchedule, PiecewiseRatePlan,
                   OptimizerSettings, optimize_rates, benchmark_constant_rate,
                   evaluate_plan, stationary_rate_search, closed_form_mm11, closed_form_md11,
                   closed_form_mm11_preemptive, ConfigError)
@@ -100,6 +101,8 @@ ENTRY_POINTS = {
         StationaryModel(1.0, Exponential(1.0), 0.5), v), 1.0),
     "m_x_stationary.x": (lambda v: m_x_stationary(
         StationaryModel(1.0, Exponential(1.0), 0.5), v), 1.0),
+    "aoi_lst.s": (lambda v: aoi_lst(
+        StationaryModel(1.0, Exponential(1.0), 0.5), v), 1.0),
     "SolverSettings.horizon": (lambda v: SolverSettings(horizon=v), 1.0),
     "SolverSettings.grid_n": (lambda v: SolverSettings(grid_n=v), 20),
     "aoi_cdf_tv.t": (lambda v: aoi_cdf_tv(CFG, v, 0.5, idle=IDLE), 1.0),
@@ -110,6 +113,10 @@ ENTRY_POINTS = {
     "SimRequest.t": (lambda v: SimRequest(CFG, v, 10, 0), 1.0),
     "SimRequest.replications": (lambda v: SimRequest(CFG, 1.0, v, 0), 10),
     "SimRequest.seed": (lambda v: SimRequest(CFG, 1.0, 10, v), 0),
+    "simulate_aoi_at.t": (
+        lambda v: simulate_aoi_at(CFG, v, np.random.default_rng(0), 10), 1.0),
+    "simulate_aoi_at.reps": (
+        lambda v: simulate_aoi_at(CFG, 1.0, np.random.default_rng(0), v), 10),
     "empirical_cdf.xs": (
         lambda v: empirical_cdf(SimRequest(CFG, 1.0, 10, 0), [v, 1.0]), 0.5),
     "ConstraintSchedule.times": (
@@ -186,6 +193,21 @@ def test_search_thresholds_and_probabilities_are_in_range():
                        ((1.0, 1.5), "probability"), ((1.0, -0.1), "probability")):
         with pytest.raises(ConfigError, match=f"^{name} must be"):
             stationary_rate_search(Exponential(1.2), 0.0, [pair], SEARCH)
+
+
+def test_lst_abscissa_array_is_checked_entrywise():
+    model = StationaryModel(1.0, Exponential(1.0), 0.5)
+    s = np.array([0.0, 0.5, 1.0, 7.0])
+    assert aoi_lst(model, s).tolist() == [aoi_lst(model, v) for v in s.tolist()]
+    for bad in ([1.0, math.nan], [True, 1.0], [1.0, 2j]):
+        with pytest.raises(ConfigError, match="^LST argument s must be"):
+            aoi_lst(model, bad)
+
+
+@pytest.mark.parametrize("reps", [0, -1, 2.5, 10.0, "10"])
+def test_simulated_replication_count_is_a_positive_integer(reps):
+    with pytest.raises(ConfigError, match="^reps must be"):
+        simulate_aoi_at(CFG, 1.0, np.random.default_rng(0), reps)
 
 
 def test_abscissa_lists_are_checked_and_a_scalar_is_one_point():

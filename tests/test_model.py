@@ -9,7 +9,7 @@ from scipy.special import gammainc, gammaincc
 
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
-                  SystemConfig, GridFunction, rate_at,
+                  SystemConfig, GridFunction,
                   rate_from_dict, service_from_dict, config_from_dict,
                   ConfigError)
 
@@ -24,22 +24,22 @@ ALL_SERVICES = [Exponential(1.2), Deterministic(1 / 1.2), Uniform(0.0, 5 / 3),
 # rate profiles
 # ---------------------------------------------------------------------------
 
-def test_rate_at_constant():
-    assert rate_at(Constant(1.8), 5.0) == 1.8
+def test_rate_constant():
+    assert Constant(1.8).rate(5.0) == 1.8
 
 
-def test_rate_at_sinusoid_origin():
-    assert rate_at(Sinusoid(1.7, 1.0, 1.8), 0.0) == pytest.approx(1.7, abs=1e-15)
+def test_rate_sinusoid_origin():
+    assert Sinusoid(1.7, 1.0, 1.8).rate(0.0) == pytest.approx(1.7, abs=1e-15)
 
 
-def test_rate_at_square_wave():
+def test_rate_square_wave():
     # alternating 1.5/0.5 every 3 units: t=4 falls in the second band
-    assert rate_at(SQUARE, 4.0) == 0.5
+    assert SQUARE.rate(4.0) == 0.5
 
 
-def test_rate_at_vectorized():
+def test_rate_vectorized():
     ts = np.array([0.0, 2.9, 3.0, 5.9, 6.0])
-    np.testing.assert_allclose(rate_at(SQUARE, ts), [1.5, 1.5, 0.5, 0.5, 1.5])
+    np.testing.assert_allclose(SQUARE.rate(ts), [1.5, 1.5, 0.5, 0.5, 1.5])
 
 
 def test_sinusoid_requires_nonnegative_rate():
@@ -64,7 +64,7 @@ def test_rate_integral_sinusoid_closed_form():
         assert prof.integral(0.0, t) == pytest.approx(want, abs=1e-12)
         # independent composite check
         grid = np.linspace(0.0, t, 20001)
-        approx = np.trapezoid(rate_at(prof, grid), grid)
+        approx = np.trapezoid(prof.rate(grid), grid)
         assert prof.integral(0.0, t) == pytest.approx(approx, abs=1e-5)
 
 
@@ -95,11 +95,11 @@ def test_piecewise_integral_exact():
 
 def test_tabulated_interpolates_and_integrates():
     tab = Tabulated((0.0, 1.0, 2.0), (1.0, 2.0, 1.0))
-    assert rate_at(tab, 0.5) == pytest.approx(1.5)
+    assert tab.rate(0.5) == pytest.approx(1.5)
     assert tab.integral(0.0, 2.0) == pytest.approx(3.0, abs=1e-12)
     assert tab.integral(0.5, 1.5) == pytest.approx(1.75, abs=1e-12)
     with pytest.raises(ValueError):
-        rate_at(tab, 3.0)
+        tab.rate(3.0)
 
 
 def test_rate_integral_accepts_array_of_upper_ends():
@@ -122,6 +122,64 @@ def test_max_rate_bounds():
     assert Sinusoid(1.7, 1.0, 1.8).max_rate(0.0, 10.0) == pytest.approx(2.7)
     assert SQUARE.max_rate(3.0, 5.9) == pytest.approx(0.5)
     assert SQUARE.max_rate(0.0, 12.0) == pytest.approx(1.5)
+
+
+def _around(knots):
+    """Each knot, the doubles just before and just after it."""
+    return [u for k in knots for u in (math.nextafter(k, -math.inf), k,
+                                       math.nextafter(k, math.inf))]
+
+
+# profile: times to sample, at and around its knots (where the rate jumps,
+# kinks or touches 0), inside its domain and, where it has none, far past
+# its last knot. The solver and the simulator read rate and max_rate with
+# no check of their own, so these are the constructors' guarantees.
+EDGE_PROFILES = {
+    "constant-zero": (Constant(0.0), [0.0, 1.0, 1e6]),
+    "constant": (Constant(1.3), [0.0, 1.0, 1e6]),
+    "sinusoid-touching-zero": (
+        Sinusoid(1.5, -1.5, 2.0), [0.0, *_around([math.pi / 4, 5 * math.pi / 4]), 1e6]),
+    "piecewise-zero-pieces": (
+        PiecewiseConstant((1.0, 2.0, 3.5, 4.0, 6.0), (0.0, 2.5, 0.0, 0.0)),
+        [0.0, *_around([1.0, 2.0, 3.5, 4.0, 6.0]), 1e6]),
+    "piecewise-late-start": (
+        PiecewiseConstant((2.0, 3.0, 5.0), (1.0, 4.0)),
+        [0.0, *_around([2.0, 3.0, 5.0]), 1e6]),
+    "tabulated-zero-knots": (
+        Tabulated((0.0, 1.0, 2.0, 3.5, 5.0), (0.0, 2.0, 0.0, 0.0, 1.0)),
+        [0.0, *_around([1.0, 2.0, 3.5]), math.nextafter(5.0, 0.0), 5.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_PROFILES))
+def test_rate_is_nonnegative_and_max_rate_bounds_it_at_the_edges(name):
+    prof, ts = EDGE_PROFILES[name]
+    rates = [prof.rate(t) for t in ts]
+    assert all(type(r) is float and r >= 0.0 for r in rates)
+    assert prof.rate(np.array(ts)).tolist() == rates
+    # every window between two sampled times, the degenerate ones included;
+    # a step profile's bound on [t0, t1] is that of [t0, t1): the piece that
+    # starts at t1 is left out, so that a thinning segment's bound stays tight
+    closed = not isinstance(prof, PiecewiseConstant)
+    for i, t0 in enumerate(ts):
+        for j in range(i, len(ts)):
+            bound = prof.max_rate(t0, ts[j])
+            assert math.isfinite(bound)
+            assert bound >= max(rates[i:j + closed], default=0.0)
+
+
+def test_piecewise_rate_is_zero_before_the_first_breakpoint():
+    prof = PiecewiseConstant((2.0, 3.0, 5.0), (1.0, 4.0))
+    assert prof.rate(math.nextafter(2.0, 0.0)) == prof.rate(-1e300) == 0.0
+    assert prof.rate(2.0) == 1.0
+    # 0 on [0, 2), 1 on [2, 3), 4 on [3, 5) and past 5
+    assert prof.integral(0.0, 7.0) == 17.0
+    assert prof.max_rate(0.0, 1.0) == 0.0
+
+
+def test_piecewise_needs_a_rate():
+    with pytest.raises(ConfigError, match="len.breakpoints. == len.rates.\\+1 >= 2"):
+        PiecewiseConstant((0.0,), ())
 
 
 # ---------------------------------------------------------------------------

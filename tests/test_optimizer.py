@@ -46,20 +46,12 @@ def test_plan_cost_is_rate_time_area():
     assert plan.cost == pytest.approx(2.0 * 10.0 + 0.5 * 20.0, abs=1e-12)
 
 
-def test_plan_profile_round_trip():
-    plan = PiecewiseRatePlan((0.0, 10.0, 30.0), (2.0, 0.5))
-    prof = plan.profile()
-    assert isinstance(prof, PiecewiseConstant)
-    assert prof.rates == (2.0, 0.5)
-
-
-def test_plan_profile_pads_leading_gap():
-    # a plan starting after 0 gets a zero-rate lead-in so the profile
-    # covers the whole horizon
-    plan = PiecewiseRatePlan((5.0, 10.0), (1.5,))
-    prof = plan.profile()
-    assert prof.breakpoints[0] == 0.0
-    assert prof.rates[0] == 0.0
+def test_plan_is_a_step_profile_that_is_zero_before_it_starts():
+    plan = PiecewiseRatePlan((5.0, 10.0, 30.0), (2.0, 0.5))
+    assert isinstance(plan, PiecewiseConstant)
+    assert plan.rate(0.0) == plan.rate(math.nextafter(5.0, 0.0)) == 0.0
+    assert plan.rate([5.0, 29.0, 40.0]).tolist() == [2.0, 0.5, 0.5]
+    assert plan.integral(0.0, 30.0) == plan.cost == 20.0
 
 
 def test_plan_validation():

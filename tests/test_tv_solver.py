@@ -192,6 +192,18 @@ def test_cdf_shared_idle_matches_fresh_solve():
     assert a == pytest.approx(b, abs=1e-9)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_late_starting_step_profile_solves_like_its_zero_padded_twin(theta):
+    # a step profile is 0 before its first breakpoint, so the solver needs
+    # no zero-rate piece to cover [0, 1)
+    late = SystemConfig(PiecewiseConstant((1.0, 2.0), (1.5,)), Exponential(1.2), theta)
+    padded = SystemConfig(PiecewiseConstant((0.0, 1.0, 2.0), (0.0, 1.5)),
+                          Exponential(1.2), theta)
+    for x in (1.0, 1.7, 2.5):
+        phi = aoi_cdf_tv(late, 3.0, x)
+        assert 0.0 < phi < 1.0 and phi == aoi_cdf_tv(padded, 3.0, x)
+
+
 @pytest.mark.parametrize("grid_n", [4, 8, 16])
 def test_cdf_rejects_grid_too_coarse_for_implicit_step(grid_n):
     # h * lambda_max * theta >= 1: the implicit step divides by a
@@ -351,7 +363,7 @@ def test_no_preemption_phi_matches_dense_reference_at_fig8_audit_nodes():
     grid = OptimizerSettings().rate_grid
     rates = [grid[i] for i in (19, 21, 21, 26, 26, 31, 31, 31, 26, 26, 21, 21, 19)]
     plan = PiecewiseRatePlan(split_windows(sched), rates)
-    cfg = SystemConfig(plan.profile(), Uniform(0.0, 4 / 3), 0.0)
+    cfg = SystemConfig(plan, Uniform(0.0, 4 / 3), 0.0)
     idle = idle_for(cfg, 56.0)
     for eta, x in ((21.0, 4.5), (29.5, 3.0), (55.5, 7.5)):
         got = aoi_cdf_tv(cfg, eta, x, idle=idle)
