@@ -41,9 +41,11 @@ _ROWS = 32
 def moments(service, h, n):
     """Weights (omega, rho) of the kernels "F", "1-F", "dF" and "1" on n
     steps of h: omega[d] for lag d (omega[0] the diagonal), rho[i] for node
-    0 of row i. From the cell integrals A_c of F and B_c of F (z - ch)/h
-    (2-node Gauss, split at the breakpoints) and F at the nodes; dF by
-    parts, int phi dF = [phi F] - int F phi', on cells (ch, (c+1)h]."""
+    0 of row i. From the cell integrals A_c of S = 1 - F and B_c of
+    S (z - ch)/h (2-node Gauss, split at the breakpoints) and S at the
+    nodes, so "1-F" and "dF" decay with the service tail; dF by parts,
+    int phi dF = int S phi' - [phi S], on cells (ch, (c+1)h]. A weight
+    below the smallest normal float is 0."""
     nodes = h * np.arange(n + 1)
     bps = [b for b in service.breakpoints() if 0.0 < b < nodes[-1]]
     edges = np.sort(np.append(nodes, bps))
@@ -51,18 +53,22 @@ def moments(service, h, n):
     left = nodes[cell][:, None]
 
     def integrand(z):
-        Fz = np.asarray(service.cdf(z), dtype=float)
-        return np.stack([Fz, Fz * (z - left) / h])
+        Sz = np.asarray(service.sf(z), dtype=float)
+        return np.stack([Sz, Sz * (z - left) / h])
 
     A, B = (np.bincount(cell, p, n) for p in gauss_panels(integrand, edges, 2))
-    Fn = np.asarray(service.cdf(nodes), dtype=float)
+    Sn = np.asarray(service.sf(nodes), dtype=float)
 
-    a = np.array([A, h - A, np.diff(Fn), np.full(n, h)])
-    b = np.array([B, 0.5 * h - B, Fn[1:] - A / h, np.full(n, 0.5 * h)])
+    a = np.array([h - A, A, -np.diff(Sn), np.full(n, h)])
+    b = np.array([0.5 * h - B, B, A / h - Sn[1:], np.full(n, 0.5 * h)])
     rho = np.zeros((4, n + 1))
     rho[:, 1:] = b
     omega = rho.copy()
     omega[:, :-1] += a - b
+    # "1-F" and "dF" decay through the subnormals, which slow every product
+    # they enter
+    for w in (omega, rho):
+        w[np.abs(w) < np.finfo(float).tiny] = 0.0
     return dict(zip(("F", "1-F", "dF", "1"), zip(omega, rho)))
 
 

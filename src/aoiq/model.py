@@ -43,9 +43,9 @@ class RateProfile:
         raise NotImplementedError
 
     def max_rate(self, t0, t1):
-        """A finite upper bound for lambda on [t0, t1] (used by thinning
-        and by the solver's step guard); a step profile bounds [t0, t1),
-        leaving out the piece that starts at t1."""
+        """A finite upper bound for lambda on [t0, t1] (used by thinning);
+        a step profile bounds [t0, t1), leaving out the piece that starts
+        at t1."""
         raise NotImplementedError
 
     def breakpoints_in(self, t0, t1):
@@ -232,19 +232,17 @@ class Tabulated(RateProfile):
 # ---------------------------------------------------------------------------
 
 class ServiceDistribution:
-    """Processing-time law: CDF F, survival function 1 - F, integrated
-    tail int_x^inf (1 - F(z)) dz = E[(S - x)^+], LST F~(s) = E[e^{-sS}],
-    exp_convolved(lam, s) = E[e^{-lam (s - S)}; S <= s] = P(S <= s < S + Y)
-    for Y ~ Exp(lam) independent of S (0 for s <= 0), mean, and a sampler.
-    No solver reads a density, and the laws define none."""
+    """Processing-time law of S, with CDF F: survival function sf(z) =
+    1 - F(z) = P(S > z), integrated tail int_x^inf sf(z) dz = E[(S - x)^+],
+    LST F~(s) = E[e^{-sS}], exp_convolved(lam, s) = E[e^{-lam (s - S)};
+    S <= s] = P(S <= s < S + Y) for Y ~ Exp(lam) independent of S (0 for
+    s <= 0), mean, and a sampler. F is read as 1 - sf, which loses nothing
+    a solver needs; no solver reads a density, and the laws define neither."""
 
     kind = "abstract"
 
     @property
     def mean(self):
-        raise NotImplementedError
-
-    def cdf(self, z):
         raise NotImplementedError
 
     def sf(self, z):
@@ -263,7 +261,7 @@ class ServiceDistribution:
         raise NotImplementedError
 
     def breakpoints(self):
-        """Points where F is not smooth, for quadrature splitting."""
+        """Points where sf is not smooth, for quadrature splitting."""
         return ()
 
 
@@ -278,11 +276,6 @@ class Exponential(ServiceDistribution):
     @property
     def mean(self):
         return 1.0 / self.mu
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.where(z > 0, -np.expm1(-self.mu * np.maximum(z, 0.0)), 0.0)
-        return out if out.ndim else float(out)
 
     def sf(self, z):
         z = np.asarray(z, dtype=float)
@@ -320,11 +313,6 @@ class Deterministic(ServiceDistribution):
     @property
     def mean(self):
         return self.d
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.where(z >= self.d, 1.0, 0.0)
-        return out if out.ndim else float(out)
 
     def sf(self, z):
         z = np.asarray(z, dtype=float)
@@ -374,11 +362,6 @@ class Uniform(ServiceDistribution):
     @property
     def mean(self):
         return 0.5 * (self.low + self.high)
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.clip((z - self.low) / (self.high - self.low), 0.0, 1.0)
-        return out if out.ndim else float(out)
 
     def sf(self, z):
         z = np.asarray(z, dtype=float)
@@ -478,12 +461,6 @@ class Gamma(ServiceDistribution):
     @property
     def mean(self):
         return self.shape * self.scale
-
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
-        out = _regularized_gamma(self.shape, np.maximum(z, 0.0) / self.scale, False)
-        out = np.where(z > 0, out, 0.0)
-        return out if out.ndim else float(out)
 
     def sf(self, z):
         z = np.asarray(z, dtype=float)

@@ -1,7 +1,7 @@
 """Steady-state AoI distribution for constant arrival rate.
 
 Two routes, deliberately independent of the time-varying solver, and
-neither reads a service density:
+neither reads a service density (S = 1 - F below is the law's `sf`):
 
 * theta > 0: the AoI Laplace-Stieltjes transform (evaluated in cancelled
   form, so s=0 is regular) inverted numerically with Euler-summation
@@ -250,7 +250,8 @@ def _rule(model, x):
 
 def m_x_stationary(model, x):
     """Stationary M(x) = P(idle, AoI <= x) for every theta and service law.
-    Integrating the density form by parts leaves only F:
+    Integrating the density form by parts leaves only F = 1 - S, S the
+    law's sf:
         M(x) = c lam int_0^x F(v) e^{-lam theta v}
                              (theta + (1-theta) e^{-lam (x-v)}) dv,
     c = theta + (1-theta) M(inf): M(inf) (F(x) - exp_convolved(lam, x)) at
@@ -260,12 +261,13 @@ def m_x_stationary(model, x):
         return 0.0
     lam, th, svc = model.lam, model.theta, model.service
     if th == 0.0:
-        val = model._minf * (svc.cdf(x) - svc.exp_convolved(lam, x))
+        val = model._minf * (1.0 - svc.sf(x) - svc.exp_convolved(lam, x))
     else:
         s, w = _rule(model, x)
         v = s[:-1]
         c = th + (1.0 - th) * model._minf
-        vals = svc.cdf(v) * np.exp(-lam * th * v) * (th + (1.0 - th) * np.exp(-lam * (x - v)))
+        vals = ((1.0 - svc.sf(v)) * np.exp(-lam * th * v)
+                * (th + (1.0 - th) * np.exp(-lam * (x - v))))
         val = c * lam * float(vals @ w)
     return float(min(max(val, 0.0), 1.0))
 

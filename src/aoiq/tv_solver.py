@@ -3,7 +3,7 @@
 Solves the Volterra equations of the second kind behind Phi(t, x) on
 equally spaced grids, h <= 0.01 for every service law, each sampled by
 `_grid`: lambda and Lambda at the nodes, and weights integrated exactly
-from the service CDF (`_kernels.moments`):
+from the service survival function (`_kernels.moments`):
 
 * the idle-probability curve M(t, inf) on [0, T], and
 * the fixed-u equation for Phi-hat(u, x) (u = t - x held fixed) on the
@@ -153,8 +153,8 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     `settings` only checks that its horizon, when set, is not below t.
 
     Raises ConfigError when `idle` does not cover t, and when the grid is
-    too coarse for the implicit step: h * lambda_max * theta must stay
-    below 1.
+    too coarse for the implicit step: h * lambda * theta must stay below 1
+    at every node of the diagonal, t included.
     """
     t, x = check(t, "t", 0), check(x, "x", 0)
     if x >= t:
@@ -179,9 +179,10 @@ def aoi_cdf_tv(config, t, x, settings=None, idle=None):
     h, r, lam, Lam, mom = _grid(config, u, x, max(2, math.ceil(x / idle.grid.h - 1e-12)))
     c = lam * (theta + (1.0 - theta) * np.asarray(idle(r), dtype=float))
 
-    # the march divides by 1 - omega_0 lambda_i theta with omega_0 <= h/2;
-    # keeping that above 1/2 bounds the error amplification of each step by 2
-    stiffness = config.rate.max_rate(u, t) * theta
+    # the march divides by 1 - omega_0 lambda_i theta at the diagonal's
+    # nodes, omega_0 <= h/2; keeping that above 1/2 bounds the error
+    # amplification of each step by 2
+    stiffness = float(lam.max()) * theta
     if h * stiffness >= 1.0:
         h_max = 1.0 / stiffness
         raise ConfigError(

@@ -53,7 +53,7 @@ def test_calls_without_a_gamma_law_load_no_scipy():
 
 
 def test_gamma_call_loads_only_what_scipy_special_loads():
-    loaded = modules_after("from aoiq import Gamma; Gamma(1.2, 0.5).cdf(1.0)")
+    loaded = modules_after("from aoiq import Gamma; Gamma(1.2, 0.5).sf(1.0)")
     assert "scipy.special" in loaded
     baseline = modules_after("import scipy.special")
     heavy = {m for m in loaded if m in HEAVY}

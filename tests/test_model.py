@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincc
 
+from aoiq import model
 from aoiq import (Constant, Sinusoid, PiecewiseConstant, Tabulated,
                   Exponential, Deterministic, Uniform, Gamma, Erlang,
                   SystemConfig, GridFunction,
@@ -132,8 +133,8 @@ def _around(knots):
 
 # profile: times to sample, at and around its knots (where the rate jumps,
 # kinks or touches 0), inside its domain and, where it has none, far past
-# its last knot. The solver and the simulator read rate and max_rate with
-# no check of their own, so these are the constructors' guarantees.
+# its last knot. The solver reads rate and the simulator rate and max_rate,
+# with no check of their own, so these are the constructors' guarantees.
 EDGE_PROFILES = {
     "constant-zero": (Constant(0.0), [0.0, 1.0, 1e6]),
     "constant": (Constant(1.3), [0.0, 1.0, 1e6]),
@@ -191,23 +192,30 @@ def test_lst_examples():
     assert Exponential(1.2).lst(1.2) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_deterministic_cdf_below_atom():
-    assert Deterministic(1 / 1.2).cdf(0.5) == 0.0
-    assert Deterministic(1 / 1.2).cdf(1.0) == 1.0
-
-
 def test_deterministic_survival_and_tail():
+    assert Deterministic(1 / 1.2).sf(0.5) == 1.0
+    assert Deterministic(1 / 1.2).sf(1.0) == 0.0
     svc = Deterministic(1.5)
     assert svc.sf(1.0) == 1.0 and svc.sf(1.5) == 0.0
     assert svc.tail(0.5) == 1.0 and svc.tail(2.0) == 0.0
 
 
 @pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)
-def test_cdf_monotone_and_bounded(svc):
+def test_service_law_has_one_function_per_quantity(svc):
+    # the CDF is 1 - sf, so no law carries a second copy of it
+    law = type(svc)
+    public = {name for name in dir(law) if not name.startswith("_")
+              and (callable(getattr(law, name)) or isinstance(getattr(law, name), property))}
+    assert public == {"mean", "sf", "tail", "lst", "exp_convolved", "sample", "breakpoints"}
+    assert not hasattr(svc, "cdf")
+
+
+@pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)
+def test_sf_monotone_and_bounded(svc):
     z = np.linspace(0.0, 12.0, 1000)
-    F = np.asarray(svc.cdf(z))
-    assert np.all(F >= 0.0) and np.all(F <= 1.0)
-    assert np.all(np.diff(F) >= -1e-15)
+    S = np.asarray(svc.sf(z))
+    assert np.all(S >= 0.0) and np.all(S <= 1.0)
+    assert np.all(np.diff(S) <= 1e-15)
 
 
 @pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)
@@ -275,14 +283,16 @@ def exp_convolved_reference(k, lam):
 
 @pytest.mark.parametrize("k", GAMMA_SHAPES_BELOW_1)
 def test_gamma_below_shape_1_matches_mpmath(k):
-    # shape < 1 takes P and Q from shape k + 1 near the origin
+    # shape < 1 takes P and Q from shape k + 1 near the origin; sf reads Q,
+    # exp_convolved P
     svc = Gamma(k, 1.0)
     p, q = gamma_reference(k)
-    sf, cdf = svc.sf(GAMMA_Z), svc.cdf(GAMMA_Z)
-    np.testing.assert_allclose(cdf, p, rtol=1e-14, atol=0.0)
+    sf, lower = svc.sf(GAMMA_Z), model._regularized_gamma(k, GAMMA_Z, False)
+    np.testing.assert_allclose(lower, p, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(sf, q, rtol=1e-14, atol=0.0)
-    assert np.max(np.abs(sf + cdf - 1.0)) <= 2.2e-16
-    assert svc.sf(0.0) == 1.0 and svc.cdf(0.0) == 0.0
+    assert np.max(np.abs(sf + lower - 1.0)) <= 2.2e-16
+    assert svc.sf(0.0) == 1.0
+    assert model._regularized_gamma(k, np.zeros(1), False).tolist() == [0.0]
     for lam in (0.4, 0.8):
         np.testing.assert_allclose(svc.exp_convolved(lam, GAMMA_Z),
                                    exp_convolved_reference(k, lam), rtol=1e-14, atol=0.0)
@@ -294,7 +304,6 @@ def test_gamma_from_shape_1_calls_scipy_directly(svc):
     z = np.linspace(0.0, 20.0, 401)
     k, sc = svc.shape, svc.scale
     assert np.array_equal(svc.sf(z), gammaincc(k, z / sc))
-    assert np.array_equal(svc.cdf(z), gammainc(k, z / sc))
     for lam in (0.4, 0.8):
         c = 1.0 / sc - lam
         want = np.exp(-lam * z) * (sc * c) ** -k * gammainc(k, c * z)
@@ -331,13 +340,13 @@ def test_sampling_means():
 
 
 @pytest.mark.parametrize("svc", ALL_SERVICES, ids=lambda s: s.kind)
-def test_sampling_matches_cdf(svc):
+def test_sampling_matches_sf(svc):
     rng = np.random.default_rng(29)
     draws = np.sort(np.atleast_1d(svc.sample(rng, 100_000)))
     z = np.linspace(0.0, 4.0 * svc.mean, 50)
-    emp = np.searchsorted(draws, z, side="right") / draws.size
-    F = np.asarray(svc.cdf(z))
-    assert np.max(np.abs(emp - F)) < 0.01
+    emp = 1.0 - np.searchsorted(draws, z, side="right") / draws.size
+    S = np.asarray(svc.sf(z))
+    assert np.max(np.abs(emp - S)) < 0.01
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,43 @@ def test_cdf_rejects_grid_too_coarse_for_implicit_step(grid_n):
         aoi_cdf_tv(cfg, 20.0, 10.0, SolverSettings(grid_n=grid_n))
 
 
+@pytest.mark.parametrize("rate, grid_n", [(1000.0, 5001), (150.0, 751)])
+def test_step_guard_reads_the_rate_at_t_after_an_upward_jump(rate, grid_n):
+    # the diagonal ending at the jump samples the new rate at its last
+    # node, where the implicit step divides by 1 - omega_0 lambda theta
+    cfg = SystemConfig(PiecewiseConstant((0.0, 5.0, 6.0), (0.1, rate)),
+                       Exponential(1.2), 1.0)
+    with pytest.raises(ConfigError, match=f"use grid_n >= {grid_n} on horizon 5$"):
+        aoi_cdf_tv(cfg, 5.0, 1.0)
+    assert aoi_cdf_tv(cfg, math.nextafter(5.0, 0.0), 1.0) == pytest.approx(0.04029, abs=1e-5)
+
+
+def test_weights_decay_with_the_exponential_tail():
+    # from S the "1-F" and "dF" weights keep their relative accuracy down
+    # to the smallest normal float, each lag e^{-mu h} times the one before;
+    # below it they are 0, neither subnormal nor negative
+    mu, h, n = 1.5, 0.01, 50_000
+    mom = _kernels.moments(Exponential(mu), h, n)
+    tiny = np.finfo(float).tiny
+    for kernel in ("1-F", "dF"):
+        for w in mom[kernel]:
+            d = np.arange(2, n)
+            normal = (w[d] >= tiny) & (w[d + 1] >= tiny)
+            assert normal.sum() > 40_000
+            ratio = w[d + 1][normal] / w[d][normal]
+            np.testing.assert_allclose(ratio, math.exp(-mu * h), rtol=1e-8, atol=0.0)
+            assert np.all(w[~(w >= tiny)] == 0.0)
+
+
+def test_weights_vanish_past_a_deterministic_atom():
+    d, h, n = 1 / 1.2, 0.01, 10_000
+    mom = _kernels.moments(Deterministic(d), h, n)
+    past = math.ceil(d / h) + 1  # the first node beyond the atom's cell
+    for kernel in ("1-F", "dF"):
+        for w in mom[kernel]:
+            assert np.all(w[past:] == 0.0) and w[past - 1] != 0.0
+
+
 def _sum_case():
     """150 nodes, five 32-row blocks of the march, with omega = h k
     (omega[0] = h / 2) and rho = h k / 2."""
