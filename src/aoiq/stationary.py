@@ -111,16 +111,17 @@ def _constant():
 @dataclass(frozen=True)
 class StationaryModel:
     """Constant-rate M/G/1/1 instance. Construction also derives what every
-    CDF, PDF and M(x) call needs: M(inf), the LST constant c (theta > 0)
-    and the outer rule's panel bound, end cap and split points (see
-    _outer_rule), and _x1, the largest x whose rule is one panel (see
-    _rule)."""
+    CDF, PDF and M(x) call needs: M(inf), the LST constant c and the least
+    service time d (theta > 0; see _least_service), the outer rule's panel
+    bound, end cap and split points (see _outer_rule), and _x1, the largest
+    x whose rule is one panel (see _rule)."""
 
     lam: float
     service: ServiceDistribution
     theta: float
     _minf: float = _constant()
     _lst_c: float | None = _constant()
+    _least: float | None = _constant()
     _longest: float = _constant()
     _end_cap: float = _constant()
     _splits: tuple = _constant()
@@ -135,11 +136,12 @@ class StationaryModel:
         # M(inf): theta F~(lam theta) / (1 - (1-theta) F~(lam theta)), at
         # theta = 0 its L'Hospital limit 1 / (1 + lam E[S]); c as in aoi_lst
         if th == 0.0:
-            minf, lst_c = 1.0 / (1.0 + self.lam * svc.mean), None
+            minf, lst_c, least = 1.0 / (1.0 + self.lam * svc.mean), None, None
         else:
             fl = float(np.real(svc.lst(self.lam * th)))
             minf = th * fl / (1.0 - (1.0 - th) * fl)
             lst_c = self.lam * th / (1.0 - (1.0 - th) * fl)
+            least = _least_service(svc)
         longest = _PANEL_SCALE * (svc.mean + 1.0 / self.lam)
         end_cap = _END_SCALE * svc.mean
         layer = _LAYER / self.lam
@@ -149,9 +151,19 @@ class StationaryModel:
         # one panel (x <= longest), no split point inside (0, x), and ends
         # of a quarter of x (x/4 <= end_cap)
         x1 = min(longest, 4.0 * end_cap, *(b for b in splits if b > 0.0))
-        for name, value in (("_minf", minf), ("_lst_c", lst_c), ("_longest", longest),
+        for name, value in (("_minf", minf), ("_lst_c", lst_c), ("_least", least),
+                            ("_longest", longest),
                             ("_end_cap", end_cap), ("_splits", splits), ("_x1", x1)):
             object.__setattr__(self, name, value)
+
+
+def _least_service(svc):
+    """d, the least service time: the largest breakpoint b with S = 1 just
+    below it, else 0. An update is at least d old when it is delivered, so
+    the AoI is >= d; the inversion does not see that and returns noise of
+    either sign below d (for theta > 0)."""
+    return max((b for b in svc.breakpoints() if svc.sf(np.nextafter(b, 0.0)) == 1.0),
+               default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +394,14 @@ def aoi_cdf_stationary(model, x):
     """P(AoI <= x) in steady state. theta = 0: the survival form
         1 - Phi(x) = T[D](x) + lam M(inf) int_x^inf S(z) dz,
     all terms >= 0, so the tail keeps its relative accuracy; theta > 0:
-    the inversion of Phi~(s)/s."""
+    the inversion of Phi~(s)/s, and 0 below the least service time."""
     x = check(x, "AoI abscissa x")
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
         val = 1.0 - _survival(model, x)
+    elif x < model._least:
+        return 0.0
     else:
         val = _euler_invert(_lst_over_s, x, model)
     return min(max(val, 0.0), 1.0)
@@ -395,15 +409,17 @@ def aoi_cdf_stationary(model, x):
 
 def aoi_pdf_stationary(model, x):
     """AoI density in steady state: T[M'] at theta = 0, the inversion of
-    Phi~(s) for theta > 0. The inversion is known to lose accuracy near
-    x = 0 when the true density does not vanish there; the CDF route is the
-    primary contract."""
+    Phi~(s) for theta > 0, and 0 below the least service time. The
+    inversion is known to lose accuracy near x = 0 when the true density
+    does not vanish there; the CDF route is the primary contract."""
     x = check(x, "AoI abscissa x")
     if x <= 0:
         return 0.0
     if model.theta == 0.0:
         conv = _convolve(model, x, True)
         return 0.0 if conv is None else conv
+    if x < model._least:
+        return 0.0
     return _euler_invert(_lst, x, model)
 
 

@@ -1,10 +1,11 @@
-"""SciPy loads only when a Gamma-family law is evaluated.
+"""SciPy loads only when a Gamma law of non-integer shape is evaluated.
 
 `import scipy.special` about doubles the start-up time and the resident
-memory of a process that imports aoiq, and only `Gamma` and `Erlang` call
-it. So `import aoiq`, and a call that evaluates no Gamma-family law, load
-no SciPy module at all; a Gamma call loads `scipy.special` and no further
-subpackage (scipy.linalg alone costs about 5 MB) beyond what
+memory of a process that imports aoiq, and only a `Gamma` law whose shape
+is not an integer calls it (`Erlang`, and `Gamma(2.0, s)`, take numpy
+sums). So `import aoiq`, and a call that evaluates no such law, load no
+SciPy module at all; a non-integer Gamma call loads `scipy.special` and no
+further subpackage (scipy.linalg alone costs about 5 MB) beyond what
 `import scipy.special` loads by itself (older SciPy releases load
 scipy.linalg from it). Each check runs in a fresh interpreter, so modules
 the test session has already imported do not count.
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import aoiq
 
@@ -50,6 +53,26 @@ def test_calls_without_a_gamma_law_load_no_scipy():
                    "2.0, 0.5)")
     for statement in (stationary, finite_time):
         assert scipy_modules(modules_after(statement)) == [], statement
+
+
+INTEGER_SHAPE_CALLS = {
+    # the tv_sweep benchmark system
+    "finite-time-erlang": (
+        "from aoiq import SystemConfig, Sinusoid, Erlang, aoi_cdf_tv; "
+        "aoi_cdf_tv(SystemConfig(Sinusoid(1.7, 1.0, 1.8), Erlang(5, 1 / 6), 0.6), 20.0, 1.0)"),
+    # lam = 8 > 1/scale takes exp_convolved's c <= 0 branch
+    "stationary-erlang": (
+        "from aoiq import StationaryModel, Erlang, aoi_cdf_stationary, aoi_pdf_stationary; "
+        "[f(StationaryModel(lam, Erlang(5, 1 / 6), th), x) "
+        "for lam, th in ((0.4, 0.0), (8.0, 0.0), (0.4, 0.3)) "
+        "for f in (aoi_cdf_stationary, aoi_pdf_stationary) for x in (0.5, 3.0, 40.0)]"),
+    "gamma-shape-2": "from aoiq import Gamma; Gamma(2.0, 0.5).sf(1.0)",
+}
+
+
+@pytest.mark.parametrize("statement", INTEGER_SHAPE_CALLS.values(), ids=INTEGER_SHAPE_CALLS)
+def test_integer_shape_calls_load_no_scipy(statement):
+    assert scipy_modules(modules_after(statement)) == []
 
 
 def test_gamma_call_loads_only_what_scipy_special_loads():

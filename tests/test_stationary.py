@@ -538,6 +538,26 @@ def test_no_preemption_exactly_zero_below_support(lam):
         assert aoi_pdf_stationary(model, x) == 0.0
 
 
+@pytest.mark.parametrize("svc,theta", [(Deterministic(1 / 1.2), 0.3),
+                                       (Deterministic(1 / 1.2), 1.0),
+                                       (Uniform(0.3, 1.2), 0.3)],
+                         ids=["det-0.3", "det-1", "uniform-0.3"])
+def test_preemption_exactly_zero_below_support(svc, theta):
+    # the inversion does not know that the AoI is at least the least service
+    # time d: below d it returned CDF values up to 3.1e-4 and PDF values down
+    # to -2.55e-2 (Deterministic, theta = 0.3), 4.6e-8 and -2.4e-8 (Uniform)
+    model = StationaryModel(1.6, svc, theta)
+    d = svc.breakpoints()[0]
+    assert model._least == d
+    for x in np.linspace(0.05, d, 40, endpoint=False):
+        assert aoi_cdf_stationary(model, x) == 0.0
+        assert aoi_pdf_stationary(model, x) == 0.0
+    # from d on, the inversion as before
+    assert aoi_cdf_stationary(model, d) == stationary._euler_invert(
+        stationary._lst_over_s, d, model)
+    assert aoi_pdf_stationary(model, d) == stationary._euler_invert(stationary._lst, d, model)
+
+
 # ---------------------------------------------------------------------------
 # the outer rule on [0, x]
 # ---------------------------------------------------------------------------
@@ -623,13 +643,14 @@ def test_model_constants_stay_out_of_repr_eq_and_hash():
     assert {model: 1}[twin] == 1
     faster = dataclasses.replace(model, lam=1.6)
     want = StationaryModel(1.6, Uniform(0.0, 2 / 1.2), 0.3)
-    for name in ("_minf", "_lst_c", "_longest", "_end_cap", "_splits", "_x1"):
+    for name in ("_minf", "_lst_c", "_least", "_longest", "_end_cap", "_splits", "_x1"):
         assert getattr(faster, name) == getattr(want, name)
     assert faster._minf != model._minf and faster._longest != model._longest
     assert m_infinity(faster) == m_infinity(want)
     assert aoi_cdf_stationary(faster, 2.0) == aoi_cdf_stationary(want, 2.0)
-    # theta = 0 computes no LST
+    # theta = 0 computes no LST and no least service time
     assert dataclasses.replace(model, theta=0.0)._lst_c is None
+    assert dataclasses.replace(model, theta=0.0)._least is None
 
 
 def integrated_tail(svc, x):
