@@ -419,24 +419,21 @@ class Uniform(ServiceDistribution):
 # at shape 0.01, 6e-16 absolute).
 _SHIFT_Z = 1.1
 
-# Integer shape k up to _INT_SHAPE_MAX: sums of positive terms in numpy,
-# O(k) per value, with no SciPy. With z = x / scale,
+# Integer shape k up to _INT_SHAPE_MAX: Q and the integrated tail are
+# finite sums of positive terms, evaluated in numpy by Horner's rule, O(k)
+# per value and with no SciPy. With z = x / scale,
 #     Q(k, z) = e^{-z} sum_{j<k} z^j / j!,
-#     P(k, z) = e^{-z} z^k / k! sum_{i>=0} z^i k! / (k+i)!   below z = k,
-#               1 - Q from z = k on, where P > 1/2,
 #     tail / scale = e^{-z} sum_{i<k} (k - i) z^i / i!      (= int_z^inf Q),
-# each a sum of positive terms, so each keeps its relative accuracy; the
-# finite sums by Horner's rule, the series by _polyval. e^{-z} is applied as
-# two factors e^{-z/2}, which stay normal, with the sums finite, wherever
-# the result is normal; z is clipped at _z_cap(k), past which every one of
-# these values is below the smallest subnormal float and z^k is still
-# finite, so no z, up to inf, gives inf * 0. Against mpmath (z in
-# [1e-12, 300]) Q, P and tail are within 1.1e-15 relative for k <= 20 and
-# 1.6e-15 at k = 100. Above _INT_SHAPE_MAX, z^k would leave the float range
-# near z = k, and the O(k) sums cost more than scipy's expansions.
+# so each keeps its relative accuracy. e^{-z} is applied as two factors
+# e^{-z/2}, which stay normal, with the sums finite, wherever the result is
+# normal; z is clipped at _z_cap(k), past which both values are below the
+# smallest subnormal float and z^k is still finite, so no z, up to inf,
+# gives inf * 0. Against mpmath (z in [1e-12, 300]) Q and tail are within
+# 1.1e-15 relative for k <= 20 and 1.6e-15 at k = 100. Above
+# _INT_SHAPE_MAX, z^k would leave the float range near z = k, and the O(k)
+# sums cost more than scipy's expansions. P, which exp_convolved needs, stays
+# scipy's for every shape.
 _INT_SHAPE_MAX = 100
-# coefficients per row of a series in _polyval
-_ROW = 8
 
 
 def _integer_shape(k):
@@ -469,142 +466,24 @@ def _finite_sum(k, z, tail):
     return half * acc * half
 
 
-def _poisson(k, z):
-    """e^{-z} z^k / k! on an array z >= 0."""
-    z = np.minimum(z, _z_cap(k))
-    half = np.exp(-0.5 * z)
-    return half * (np.power(z, k) / math.factorial(k)) * half
-
-
-def _series_length(x, offset):
-    """How many terms t_i = t_{i-1} x / (offset + i), t_0 = 1, a series
-    needs before its rest, at most the last term times r / (1 - r) with r
-    the next ratio, is below 2^-55 of its sum."""
-    t = total = 1.0
-    i = 0
-    while offset + i < x or t > 2.0 ** -55 * total * (1.0 - x / (offset + i + 1)):
-        i += 1
-        t *= x / (offset + i)
-        total += t
-    return i
-
-
-@functools.cache
-def _series_coefficients(k, kummer):
-    """The coefficients c_i in t = z / k of P's series, prod_{l<=i} k / (k + l)
-    / k!, or, if kummer, in t = u / k of exp_convolved's, k^i / i! k / (k + i),
-    as many as t -> 1 needs, as the rows of a matrix of _ROW columns
-    (zero-padded). Scaled by k^i, no coefficient leaves the float range."""
-    n = _series_length(k, 0 if kummer else k)
-    i = np.arange(1.0, n + 1)
-    c = np.append(1.0, np.cumprod(k / i if kummer else k / (k + i)))
-    c *= k / (k + np.arange(n + 1.0)) if kummer else 1.0 / math.factorial(k)
-    return np.append(c, np.zeros(-c.size % _ROW)).reshape(-1, _ROW)
-
-
-def _polyval(coefficients, t):
-    """sum_i c_i t^i on a 1-d array t >= 0, for the rows of coefficients
-    from _series_coefficients: one matrix product of the rows with t^0 ..
-    t^(_ROW-1), then Horner's rule in t^_ROW over the row values. That is
-    2 (n / _ROW + _ROW) array operations for n coefficients, against
-    Horner's 2n; about 30 coefficients at k = 5. Every c_i is >= 0, so each
-    partial sum is at most the result."""
-    powers = np.empty((_ROW, t.size))
-    powers[0] = 1.0
-    for j in range(1, _ROW):
-        np.multiply(powers[j - 1], t, out=powers[j])
-    rows = coefficients @ powers
-    acc = rows[-1]
-    t_row = powers[-1] * t
-    for row in rows[-2::-1]:
-        acc = acc * t_row + row
-    return acc
-
-
-def _lower_int(k, z):
-    """P(k, z) for integer k: the positive series below z = k, 1 - Q from
-    there on."""
-    shape, z = np.shape(z), np.atleast_1d(z)
-    near = z < k
-    if near.all():
-        return _lower_series(k, z).reshape(shape)
-    out = 1.0 - _finite_sum(k, z, False)
-    if near.any():
-        out[near] = _lower_series(k, z[near])
-    return out.reshape(shape)
-
-
-def _lower_series(k, z):
-    """P(k, z) for integer k on a 1-d array z < k by the positive series
-    (1/k! is in its coefficients)."""
-    return np.power(z, k) * np.exp(-z) * _polyval(_series_coefficients(k, False), z / k)
-
-
-def _exp_convolved_int(k, z, u):
-    """Gamma(k, scale).exp_convolved(lam, s) for integer k and
-    lam >= 1/scale, with z = s/scale and u = (lam - 1/scale) s >= 0: the
-    Poisson weight e^{-z} z^k / k! times
-        e^{-u} sum_{i>=0} k / (k + i) u^i / i!
-    (Kummer's transformation of the 1F1 form; every term is positive)
-    below u = k, and from there on its closed form
-        (k/u) (sum_{j<k} (-1)^j (k-1)! / ((k-1-j)! u^j)
-               + (-1)^k (k-1)! e^{-u} / u^{k-1}),
-    whose alternating terms fall by (k-1-j)/u < 1. Against mpmath the
-    closed form is within 1e-15 relative from u = 0.05 at k = 1, 2.1 at
-    k = 5, 15 at k = 20 and 91 at k = 100 on."""
-    shape, u = np.shape(z), np.atleast_1d(u)
-    far = u >= k
-    out = np.empty_like(u)
-    un, uf = u[~far], u[far]
-    out[~far] = np.exp(-un) * _polyval(_series_coefficients(k, True), un / k)
-    acc = np.ones_like(uf)
-    for j in range(1, k):
-        acc = 1.0 - acc * j / uf
-    # e^{-u} (k-1)! / u^{k-1} in logarithms; 0 from u = 1500 on (inf included)
-    uc = np.minimum(uf, 1500.0)
-    rest = np.exp(math.lgamma(k) - uc - (k - 1) * np.log(uc))
-    out[far] = k / uf * (acc - rest if k % 2 else acc + rest)
-    return _poisson(k, z) * out.reshape(shape)
-
-
-def _exp_neg_product(a, s):
-    """e^{-a s} for a float a > 0 and an array s >= 0, to a relative
-    accuracy that does not grow with a s. Rounding the product costs up to
-    a s 2^-53 relative (2.8e-14 at a s = 257), so where a s passes 16 it
-    is carried to twice the working precision, a s = p + e exactly
-    (Dekker's product, with Veltkamp's split into halves of 26 bits), and
-    e^{-a s} = e^{-p} (1 - e). The split may overflow where s >= 2^996 or
-    p >= 746, and there e is left out: e^{-p} is 0, or a < 2^-986."""
-    p = a * s
-    out = np.exp(-p)
-    if p.size and p.max() > 16.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = 134217729.0 * a
-            ah = t - (t - a)
-            t = 134217729.0 * s
-            sh = t - (t - s)
-            e = ((ah * sh - p) + ah * (s - sh) + (a - ah) * sh) + (a - ah) * (s - sh)
-        out *= np.where((p < 746.0) & (s < 2.0 ** 996), 1.0 - e, 1.0)
-    return out
-
-
 @functools.cache
 def _special():
-    """scipy.special, imported when a Gamma law of non-integer shape (or of
-    shape above _INT_SHAPE_MAX) is first evaluated: it would double the
-    start-up time and memory of `import aoiq`, and no other law needs it."""
+    """scipy.special, imported when a Gamma law's P (exp_convolved), or its
+    Q or tail at a non-integer shape or one above _INT_SHAPE_MAX, is first
+    evaluated: it would double the start-up time and memory of `import
+    aoiq`, and no other law needs it."""
     import scipy.special
     return scipy.special
 
 
 def _regularized_gamma(k, z, upper):
     """Q(k, z) if upper else P(k, z), the regularized incomplete gamma
-    functions, on an array z >= 0; integer k up to _INT_SHAPE_MAX by the
-    finite sums, shape k < 1 through shape k + 1 (see above), other shapes
+    functions, on an array z >= 0; Q at integer k up to _INT_SHAPE_MAX by
+    the finite sum, shape k < 1 through shape k + 1 (see above), the rest
     straight from scipy."""
-    n = _integer_shape(k)
+    n = _integer_shape(k) if upper else None
     if n is not None:
-        return _finite_sum(n, z, False) if upper else _lower_int(n, z)
+        return _finite_sum(n, z, False)
     sp = _special()
     if k >= 1.0:
         return sp.gammaincc(k, z) if upper else sp.gammainc(k, z)
@@ -663,19 +542,13 @@ class Gamma(ServiceDistribution):
     def exp_convolved(self, lam, s):
         # e^{-lam s} int_0^s v^{k-1} e^{-c v} dv / (Gamma(k) scale^k), c = 1/scale - lam.
         # c > 0: e^{-lam s} P(k, c s) / (scale c)^k, whose powers of a rounded c
-        # cancel. c <= 0: for an integer shape the positive series or the
-        # closed form of _exp_convolved_int, else z^k e^{-z} 1F1(1; k+1; c s)
-        # / Gamma(k+1), z = s/scale (DLMF 8.5.1 with Kummer's transformation),
-        # as e^{-c s} would overflow
+        # cancel. c <= 0: z^k e^{-z} 1F1(1; k+1; c s) / Gamma(k+1), z = s/scale
+        # (DLMF 8.5.1 with Kummer's transformation), as e^{-c s} would overflow
         s = np.maximum(np.asarray(s, dtype=float), 0.0)
         k, c = self.shape, 1.0 / self.scale - lam
-        n = _integer_shape(k)
         if c > 0.0:
             p = _regularized_gamma(k, c * s, False)
-            decay = np.exp(-lam * s) if n is None else _exp_neg_product(lam, s)
-            out = decay * (self.scale * c) ** -k * p
-        elif n is not None:
-            out = _exp_convolved_int(n, s / self.scale, -c * s)
+            out = np.exp(-lam * s) * (self.scale * c) ** -k * p
         else:
             z = s / self.scale
             sp = _special()

@@ -1,14 +1,16 @@
-"""SciPy loads only when a Gamma law of non-integer shape is evaluated.
+"""SciPy loads only when a Gamma law needs one of its functions.
 
 `import scipy.special` about doubles the start-up time and the resident
-memory of a process that imports aoiq, and only a `Gamma` law whose shape
-is not an integer calls it (`Erlang`, and `Gamma(2.0, s)`, take numpy
-sums). So `import aoiq`, and a call that evaluates no such law, load no
-SciPy module at all; a non-integer Gamma call loads `scipy.special` and no
-further subpackage (scipy.linalg alone costs about 5 MB) beyond what
-`import scipy.special` loads by itself (older SciPy releases load
-scipy.linalg from it). Each check runs in a fresh interpreter, so modules
-the test session has already imported do not count.
+memory of a process that imports aoiq, and only `Gamma` and `Erlang` call
+it: for `exp_convolved`, and for `sf` and `tail` at a non-integer shape
+(an integer shape sums those in numpy). So `import aoiq`, and a call that
+evaluates no such function, load no SciPy module at all: among them the
+finite-time solver and the theta > 0 stationary routes with an Erlang
+law. A call that does loads `scipy.special` and no further subpackage
+(scipy.linalg alone costs about 5 MB) beyond what `import scipy.special`
+loads by itself (older SciPy releases load scipy.linalg from it). Each
+check runs in a fresh interpreter, so modules the test session has
+already imported do not count.
 """
 
 import os
@@ -60,11 +62,10 @@ INTEGER_SHAPE_CALLS = {
     "finite-time-erlang": (
         "from aoiq import SystemConfig, Sinusoid, Erlang, aoi_cdf_tv; "
         "aoi_cdf_tv(SystemConfig(Sinusoid(1.7, 1.0, 1.8), Erlang(5, 1 / 6), 0.6), 20.0, 1.0)"),
-    # lam = 8 > 1/scale takes exp_convolved's c <= 0 branch
-    "stationary-erlang": (
+    # theta > 0 inverts the LST and reads sf (theta = 0 takes exp_convolved)
+    "stationary-erlang-theta-0.3": (
         "from aoiq import StationaryModel, Erlang, aoi_cdf_stationary, aoi_pdf_stationary; "
-        "[f(StationaryModel(lam, Erlang(5, 1 / 6), th), x) "
-        "for lam, th in ((0.4, 0.0), (8.0, 0.0), (0.4, 0.3)) "
+        "[f(StationaryModel(0.4, Erlang(5, 1 / 6), 0.3), x) "
         "for f in (aoi_cdf_stationary, aoi_pdf_stationary) for x in (0.5, 3.0, 40.0)]"),
     "gamma-shape-2": "from aoiq import Gamma; Gamma(2.0, 0.5).sf(1.0)",
 }
